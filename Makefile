@@ -56,12 +56,14 @@ test:
 # ci is the full gate a commit must pass: compile, vet, the analyzer
 # suite (failing on any non-baselined finding), the race-enabled tests
 # — which include the lint framework's own tests and the self-hosting
-# TestRepoIsClean gate — a short fuzz smoke over the wire codec, and
-# the bench guard, which fails the gate outright if the engine
-# regressed against the committed BENCH_engine.json.
+# TestRepoIsClean gate — short fuzz smokes over the wire codec and the
+# content decoder (whose fuzz target checks Views against the reference
+# peelers), and the bench guard, which fails the gate outright if the
+# engine regressed against the committed BENCH_engine.json.
 ci: build vet lint verify
 	$(GO) test -race ./...
 	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
 	$(MAKE) bench-guard
 
 # bench-smoke runs the engine benchmark once with the JSON artifact
@@ -96,6 +98,7 @@ serve-bench:
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/x86/
 	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/core/
+	$(GO) test -run NONE -fuzz=FuzzScanDifferential -fuzztime=30s ./internal/mel/
 	$(GO) test -run NONE -fuzz=FuzzDecodeViews -fuzztime=30s ./internal/content/
 	$(GO) test -run NONE -fuzz=FuzzWire -fuzztime=30s ./internal/server/
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"io"
 	"iter"
 	"mime/quotedprintable"
+	"sync"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -24,6 +27,16 @@ const (
 	// minSniffLen is the shortest payload any sniffer considers: below
 	// this, layer detection is noise.
 	minSniffLen = 16
+	// qpLineMax is the shortest line the stdlib quoted-printable reader
+	// cannot decode: its bufio.Reader holds 4096 bytes, and ReadSlice
+	// fails with bufio.ErrBufferFull once that many bytes precede the
+	// '\n' (or the end of input).
+	qpLineMax = 4096
+	// maxDeflateRatio bounds how far one deflate byte can expand (a
+	// 258-byte match costs at least two bits). It caps the inflate
+	// pre-size, so a lying gzip size trailer cannot make a tiny payload
+	// reserve the whole budget up front.
+	maxDeflateRatio = 1032
 )
 
 // DecoderConfig bounds a Decoder. Zero values select the defaults.
@@ -36,11 +49,15 @@ type DecoderConfig struct {
 	MaxOutput int64
 }
 
-// Decoder peels encoding layers off payloads. It is stateless and safe
-// for concurrent use.
+// Decoder peels encoding layers off payloads. It is safe for concurrent
+// use. Its only state is a pool of gzip inflaters, reused through
+// gzip.Reader.Reset so a gzip layer does not build a fresh ~40 KB flate
+// state per payload; Reset reinitializes every field a decode reads, so
+// nothing carries from one payload to the next.
 type Decoder struct {
 	maxDepth  int
 	maxOutput int64
+	inflaters sync.Pool // *inflater
 }
 
 // NewDecoder validates cfg and returns a Decoder.
@@ -70,6 +87,13 @@ func (d *Decoder) MaxDepth() int { return d.maxDepth }
 // when decoding was cut short by the output budget (ErrDecodeBudget);
 // views yielded before it are complete and valid.
 //
+// Each buffer is sniffed in one table-driven pass (classify), and a
+// layer is decoded only when its acceptance predicate holds on that
+// pass's counts, so a buffer that yields no view — plain text, the
+// common case — costs one pass and allocates nothing. Every view's Data
+// is a fresh allocation owned by the caller: it stays valid after the
+// loop and across later Views calls.
+//
 // maxDepth overrides the configured depth when in 1..MaxDepth — the
 // hook the load-shed policy uses to peel shallower under pressure.
 func (d *Decoder) Views(payload []byte, maxDepth int) iter.Seq2[View, error] {
@@ -78,58 +102,280 @@ func (d *Decoder) Views(payload []byte, maxDepth int) iter.Seq2[View, error] {
 	}
 	return func(yield func(View, error) bool) {
 		budget := d.maxOutput
-		var walk func(data []byte, chain Chain) bool
-		walk = func(data []byte, chain Chain) bool {
-			if chain.Len() >= maxDepth || len(data) < minSniffLen {
-				return true
-			}
-			for k := Kind(1); int(k) < numKinds; k++ {
-				out, ok := peel(k, data, budget)
-				if !ok {
-					continue
-				}
-				if out == nil {
-					// The layer sniffed positive but its decoded output
-					// would blow the budget: stop, reporting the typed
-					// guard error.
-					yield(View{}, ErrDecodeBudget)
-					return false
-				}
-				budget -= int64(len(out))
-				next := chain.Push(k)
-				if !yield(View{Data: out, Chain: next}, nil) {
-					return false
-				}
-				if !walk(out, next) {
-					return false
-				}
-			}
-			return true
-		}
-		walk(payload, Chain{})
+		d.walk(payload, Chain{}, maxDepth, &budget, yield)
 	}
 }
 
-// peel attempts to remove one layer of kind k from data. The second
-// return is false when the layer did not sniff or failed to decode; a
-// (nil, true) return means the layer sniffed positive but decoding was
-// stopped by the remaining output budget.
-func peel(k Kind, data []byte, budget int64) ([]byte, bool) {
+// walk sniffs data, peels each layer that sniffs positive, yields the
+// view and recurses into it, charging every view to the payload's
+// shared budget. It returns false once iteration stops.
+func (d *Decoder) walk(data []byte, chain Chain, maxDepth int, budget *int64, yield func(View, error) bool) bool {
+	if chain.Len() >= maxDepth || len(data) < minSniffLen {
+		return true
+	}
+	s := sniff(data)
+	for k := Kind(1); int(k) < numKinds; k++ {
+		out, ok := d.peel(k, data, &s, *budget)
+		if !ok {
+			continue
+		}
+		if out == nil {
+			// The layer sniffed positive but its decoded output would
+			// blow the budget: stop, reporting the typed guard error.
+			yield(View{}, ErrDecodeBudget)
+			return false
+		}
+		*budget -= int64(len(out))
+		next := chain.Push(k)
+		if !yield(View{Data: out, Chain: next}, nil) {
+			return false
+		}
+		if !d.walk(out, next, maxDepth, budget, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// peel attempts to remove one layer of kind k from data, whose sniff
+// is s. The second return is false when the layer did not sniff or
+// failed to decode; a (nil, true) return means the layer sniffed
+// positive but decoding was stopped by the remaining output budget.
+func (d *Decoder) peel(k Kind, data []byte, s *sniffResult, budget int64) ([]byte, bool) {
 	switch k {
 	case KindChunked:
 		return peelChunked(data, budget)
 	case KindGzip:
-		return peelGzip(data, budget)
+		return d.peelGzip(data, budget)
 	case KindBase64:
-		return peelBase64(data, budget)
+		if s.cte == cteBase64 {
+			return peelBase64(s.body, &s.bodyStats, budget)
+		}
+		return peelBase64(data, &s.all, budget)
 	case KindQuotedPrintable:
-		return peelQuotedPrintable(data, budget)
+		if s.cte == cteQuotedPrintable {
+			return peelQuotedPrintable(s.body, &s.bodyStats, true, budget)
+		}
+		return peelQuotedPrintable(data, &s.all, false, budget)
 	case KindPercent:
-		return peelPercent(data, budget)
+		return peelPercent(data, &s.all, budget)
 	case KindUTF8:
-		return peelUTF8(data, budget)
+		return peelUTF8(data, &s.all, budget)
 	}
 	return nil, false
+}
+
+// --- the sniff pass ---
+
+// Byte classes of the sniff pass. A byte's class is the union of the
+// bits below; classify ORs them over a buffer and counts the two that
+// are tallied per byte (clsWS, clsLead) by masking.
+const (
+	clsWS      uint16 = 1 << iota // space, tab, CR, LF; bit 0, so f&clsWS counts it
+	clsFold                       // space, tab: base64 folding the stdlib decoder does not skip
+	clsUpper                      // 'A'..'Z'
+	clsLower                      // 'a'..'z'
+	clsStd                        // '+', '/': standard base64 alphabet only
+	clsURL                        // '-', '_': URL-safe base64 alphabet only
+	clsForeign                    // outside the base64 alphabet, '=' and whitespace
+	clsHex                        // hex digit
+	clsColon                      // ':': every MIME header line has one
+	clsMark                       // '\n', '=', '%': handled by classify's per-byte branch
+	clsLead    uint16 = 1 << 15   // >= 0xC0, a UTF-8 lead byte; bit 15, so f>>15 counts it
+)
+
+// sniffClass maps each byte to its class bits.
+var sniffClass = func() (t [256]uint16) {
+	for i := range t {
+		c := byte(i)
+		var f uint16
+		switch {
+		case c == ' ' || c == '\t':
+			f = clsWS | clsFold
+		case c == '\r' || c == '\n':
+			f = clsWS
+		case c >= 'A' && c <= 'Z':
+			f = clsUpper
+		case c >= 'a' && c <= 'z':
+			f = clsLower
+		case c >= '0' && c <= '9', c == '=':
+		case c == '+' || c == '/':
+			f = clsStd
+		case c == '-' || c == '_':
+			f = clsURL
+		default:
+			f = clsForeign
+		}
+		if (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') {
+			f |= clsHex
+		}
+		if c == ':' {
+			f |= clsColon
+		}
+		if c >= 0xC0 {
+			f |= clsLead
+		}
+		if c == '\n' || c == '=' || c == '%' {
+			f |= clsMark
+		}
+		t[i] = f
+	}
+	return t
+}()
+
+// byteStats is what one classify pass learns about a buffer: every
+// count the peelers' acceptance predicates read.
+type byteStats struct {
+	seen     uint16 // union of the class bits of every byte
+	ws       int    // clsWS bytes
+	leads    int    // clsLead bytes
+	qpEsc    int    // "=XX" hex escapes and "=\r\n" soft breaks
+	pctEsc   int    // "%XX" hex escapes
+	firstPad int    // offset of the first '=', or -1
+	longLine bool   // some run of non-'\n' bytes is qpLineMax or longer
+}
+
+// classify makes the one sniff pass over data. Bytes outside clsMark —
+// nearly all of them in text — cost a table load, an OR and two adds.
+//
+//mel:hotpath
+func classify(data []byte) byteStats {
+	st := byteStats{firstPad: -1}
+	var seen uint16
+	ws, leads, lineStart := 0, 0, 0
+	for i, c := range data {
+		f := sniffClass[c]
+		seen |= f
+		ws += int(f & clsWS)
+		leads += int(f >> 15)
+		if f&clsMark == 0 {
+			continue
+		}
+		switch c {
+		case '\n':
+			if i-lineStart >= qpLineMax {
+				st.longLine = true
+			}
+			lineStart = i + 1
+		case '=':
+			if st.firstPad < 0 {
+				st.firstPad = i
+			}
+			if i+2 < len(data) && ((data[i+1] == '\r' && data[i+2] == '\n') || (isHex(data[i+1]) && isHex(data[i+2]))) {
+				st.qpEsc++
+			}
+		case '%':
+			if i+2 < len(data) && isHex(data[i+1]) && isHex(data[i+2]) {
+				st.pctEsc++
+			}
+		}
+	}
+	if len(data)-lineStart >= qpLineMax {
+		st.longLine = true
+	}
+	st.seen, st.ws, st.leads = seen, ws, leads
+	return st
+}
+
+// cteKind is a Content-Transfer-Encoding a peeler acts on.
+type cteKind uint8
+
+const (
+	cteNone cteKind = iota
+	cteBase64
+	cteQuotedPrintable
+)
+
+// sniffResult is a buffer's sniff: the classify counts of the whole
+// buffer and, when a MIME header block declares base64 or
+// quoted-printable, the body it frames with the body's own counts.
+type sniffResult struct {
+	all       byteStats
+	cte       cteKind
+	body      []byte
+	bodyStats byteStats
+}
+
+// sniff classifies data and parses its MIME header block, once, for
+// every peeler. A buffer without a ':' has no header line to parse.
+//
+//mel:hotpath
+func sniff(data []byte) sniffResult {
+	s := sniffResult{all: classify(data)}
+	if s.all.seen&clsColon != 0 {
+		if body, cte := mimeBody(data); cte != cteNone {
+			s.cte, s.body, s.bodyStats = cte, body, classify(body)
+		}
+	}
+	return s
+}
+
+// Separators and the header name mimeBody looks for.
+var (
+	headerEndCRLF = []byte("\r\n\r\n")
+	headerEndLF   = []byte("\n\n")
+	cteHeader     = []byte("content-transfer-encoding:")
+)
+
+// mimeBody looks for an RFC 822 header block and returns the body and
+// the Content-Transfer-Encoding declared by its first such header line,
+// or cteNone when the payload is not MIME-framed or declares another
+// encoding.
+//
+//mel:hotpath
+func mimeBody(data []byte) (body []byte, cte cteKind) {
+	sep := headerEndCRLF
+	idx := bytes.Index(data, sep)
+	if idx < 0 {
+		sep = headerEndLF
+		idx = bytes.Index(data, sep)
+	}
+	if idx < 0 {
+		return nil, cteNone
+	}
+	rest := data[:idx]
+	for {
+		line, more := rest, false
+		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
+			line, rest, more = rest[:nl], rest[nl+1:], true
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) >= len(cteHeader) && bytes.EqualFold(line[:len(cteHeader)], cteHeader) {
+			value := bytes.TrimSpace(line[len(cteHeader):])
+			switch {
+			case lowerEquals(value, "base64"):
+				return data[idx+len(sep):], cteBase64
+			case lowerEquals(value, "quoted-printable"):
+				return data[idx+len(sep):], cteQuotedPrintable
+			}
+			return nil, cteNone
+		}
+		if !more {
+			return nil, cteNone
+		}
+	}
+}
+
+// lowerEquals reports whether bytes.ToLower(v) equals the ASCII want,
+// without building the lowered copy. It maps rune by rune exactly as
+// bytes.ToLower does — so "QUOTED-PRİNTABLE", whose U+0130 lowers to
+// 'i', matches — and a rune that lowers to a non-ASCII rune (or an
+// invalid byte, which lowers to U+FFFD) can never match.
+//
+//mel:hotpath
+func lowerEquals(v []byte, want string) bool {
+	j := 0
+	for i := 0; i < len(v); j++ {
+		r, size := rune(v[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(v[i:])
+		}
+		if j >= len(want) || unicode.ToLower(r) != rune(want[j]) {
+			return false
+		}
+		i += size
+	}
+	return j == len(want)
 }
 
 // --- chunked transfer encoding ---
@@ -140,39 +386,21 @@ func peel(k Kind, data []byte, budget int64) ([]byte, bool) {
 // terminal chunk are tolerated), so plain text with a leading hex word
 // is not misread as chunked.
 func peelChunked(data []byte, budget int64) ([]byte, bool) {
-	rest := data
-	var total int64
-	// First pass: validate and size.
-	for {
-		size, consumed, ok := chunkHeader(rest)
-		if !ok {
-			return nil, false
-		}
-		rest = rest[consumed:]
-		if size == 0 {
-			break
-		}
-		if int64(len(rest)) < size+2 {
-			return nil, false
-		}
-		if rest[size] != '\r' || rest[size+1] != '\n' {
-			return nil, false
-		}
-		total += size
-		rest = rest[size+2:]
-	}
-	if total == 0 {
+	total, ok := chunkedLen(data)
+	if !ok || total == 0 {
 		return nil, false
 	}
 	if total > budget {
 		return nil, true
 	}
 	out := make([]byte, 0, total)
-	rest = data
+	rest := data
 	for {
 		size, consumed, _ := chunkHeader(rest)
 		rest = rest[consumed:]
-		if size == 0 {
+		// chunkedLen checked every chunk; the bound restates it for the
+		// slice below.
+		if size == 0 || size > int64(len(rest)) {
 			break
 		}
 		out = append(out, rest[:size]...)
@@ -181,27 +409,42 @@ func peelChunked(data []byte, budget int64) ([]byte, bool) {
 	return out, true
 }
 
+// chunkedLen validates data as a chunk stream and returns the total
+// payload size its chunks carry.
+//
+//mel:hotpath
+func chunkedLen(data []byte) (total int64, ok bool) {
+	rest := data
+	for {
+		size, consumed, ok := chunkHeader(rest)
+		if !ok {
+			return 0, false
+		}
+		rest = rest[consumed:]
+		if size == 0 {
+			return total, true
+		}
+		if int64(len(rest)) < size+2 {
+			return 0, false
+		}
+		if rest[size] != '\r' || rest[size+1] != '\n' {
+			return 0, false
+		}
+		total += size
+		rest = rest[size+2:]
+	}
+}
+
 // chunkHeader parses one "size-hex[;ext]CRLF" line. ok is false when
 // the line is not a well-formed chunk header.
+//
+//mel:hotpath
 func chunkHeader(data []byte) (size int64, consumed int, ok bool) {
 	i := 0
-	for i < len(data) && i < 8 {
-		c := data[i]
-		var v int64
-		switch {
-		case c >= '0' && c <= '9':
-			v = int64(c - '0')
-		case c >= 'a' && c <= 'f':
-			v = int64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			v = int64(c-'A') + 10
-		default:
-			goto done
-		}
-		size = size<<4 | v
+	for i < len(data) && i < 8 && isHex(data[i]) {
+		size = size<<4 | int64(unhex(data[i]))
 		i++
 	}
-done:
 	if i == 0 {
 		return 0, 0, false
 	}
@@ -222,17 +465,34 @@ done:
 // gzipMagic is the RFC 1952 header: ID1, ID2, deflate.
 var gzipMagic = []byte{0x1f, 0x8b, 0x08}
 
-// peelGzip inflates a gzip member, bounded by budget.
-func peelGzip(data []byte, budget int64) ([]byte, bool) {
+// inflater is one pooled gzip decode state.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+// peelGzip inflates a gzip stream (every concatenated member), bounded
+// by budget, on a pooled inflater. The output buffer is pre-sized from
+// the last member's size trailer (ISIZE), so a single-member payload
+// inflates into one allocation; the trailer is attacker-written, so it
+// is only a hint, capped by the deflate expansion bound and the budget.
+func (d *Decoder) peelGzip(data []byte, budget int64) ([]byte, bool) {
 	if !bytes.HasPrefix(data, gzipMagic) {
 		return nil, false
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, false
+	inf, _ := d.inflaters.Get().(*inflater)
+	if inf == nil {
+		inf = new(inflater)
 	}
-	defer zr.Close()
-	out, err := readBudget(zr, budget)
+	inf.src.Reset(data)
+	var out []byte
+	err := inf.zr.Reset(&inf.src)
+	if err == nil {
+		hint := int64(binary.LittleEndian.Uint32(data[len(data)-4:]))
+		out, err = readBudget(&inf.zr, budget, min(hint, int64(len(data))*maxDeflateRatio))
+	}
+	inf.src.Reset(nil) // the pool must not pin the payload
+	d.inflaters.Put(inf)
 	if err != nil {
 		if errors.Is(err, ErrDecodeBudget) {
 			return nil, true
@@ -246,151 +506,128 @@ func peelGzip(data []byte, budget int64) ([]byte, bool) {
 }
 
 // readBudget drains r into memory, failing with ErrDecodeBudget once
-// more than budget bytes come out.
-func readBudget(r io.Reader, budget int64) ([]byte, error) {
-	var buf bytes.Buffer
-	n, err := io.Copy(&buf, io.LimitReader(r, budget+1))
-	if err != nil {
-		return nil, err
+// more than budget bytes come out. The buffer starts with room for
+// sizeHint bytes plus the byte that detects end of input, and grows (to
+// at most budget+1) only when the hint was short. Reads stop at
+// budget+1 bytes exactly as io.LimitReader(r, budget+1) stops them, so
+// which error wins never depends on the hint.
+func readBudget(r io.Reader, budget, sizeHint int64) ([]byte, error) {
+	limit := budget + 1
+	if limit <= 0 {
+		return nil, nil // io.LimitReader reads nothing at a non-positive limit
 	}
-	if n > budget {
+	buf := make([]byte, 0, min(sizeHint+1, limit))
+	for {
+		if len(buf) == cap(buf) {
+			if int64(len(buf)) >= limit {
+				break
+			}
+			grown := make([]byte, len(buf), min(2*int64(cap(buf))+512, limit))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if int64(len(buf)) > budget {
 		return nil, ErrDecodeBudget
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // --- base64 ---
 
-// peelBase64 decodes standard- or URL-alphabet base64. The candidate
-// region is either the whole payload or, for MIME-framed input, the
-// body following a Content-Transfer-Encoding: base64 header block.
+// peelBase64 decodes standard- or URL-alphabet base64 from region,
+// classified as st: either the whole payload or, for MIME-framed input,
+// the body following a Content-Transfer-Encoding: base64 header block.
 // Whitespace (line folding) is tolerated; any other foreign byte
 // rejects the sniff so prose is never misread as base64.
-func peelBase64(data []byte, budget int64) ([]byte, bool) {
-	body := data
-	if b, enc := mimeBody(data); enc == "base64" {
-		body = b
-	}
-	compact, alphaURL, ok := compactBase64(body)
-	if !ok {
+func peelBase64(region []byte, st *byteStats, budget int64) ([]byte, bool) {
+	if !isBase64(region, st) {
 		return nil, false
 	}
+	alphaURL := st.seen&clsURL != 0
 	enc := base64.StdEncoding
 	if alphaURL {
 		enc = base64.URLEncoding
 	}
-	if pad := len(compact) % 4; pad != 0 {
+	if pad := (len(region) - st.ws) % 4; pad != 0 {
 		if alphaURL {
 			enc = base64.RawURLEncoding
 		} else {
 			enc = base64.RawStdEncoding
 		}
 	}
-	if int64(enc.DecodedLen(len(compact))) > budget {
+	size := enc.DecodedLen(len(region) - st.ws)
+	if int64(size) > budget {
 		return nil, true
 	}
-	out := make([]byte, enc.DecodedLen(len(compact)))
-	n, err := enc.Decode(out, compact)
-	if err != nil || n == 0 {
+	// The stdlib decoder skips CR and LF itself, so only space- or
+	// tab-folded input needs a compacted copy.
+	src := region
+	if st.seen&clsFold != 0 {
+		src = make([]byte, 0, len(region))
+		for _, c := range region {
+			if sniffClass[c]&clsWS == 0 {
+				src = append(src, c)
+			}
+		}
+	}
+	out := make([]byte, size)
+	m, err := enc.Decode(out, src)
+	if err != nil || m == 0 {
 		return nil, false
 	}
-	return out[:n], true
+	return out[:m], true
 }
 
-// compactBase64 strips ASCII whitespace and reports whether what
-// remains is plausibly base64 (all alphabet bytes, padding only at the
-// end, long enough to mean anything). alphaURL reports the URL-safe
-// alphabet ('-'/'_' instead of '+'/'/'). The validation pass runs
-// first so non-base64 input — the common case on the sniff path — is
-// rejected without allocating.
-func compactBase64(data []byte) (compact []byte, alphaURL, ok bool) {
-	n := 0
-	var upper, lower int
-	sawURL, sawStd, done := false, false, false
-	for _, c := range data {
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			continue
-		case c == '=':
-			done = true
-		case c >= 'A' && c <= 'Z':
-			upper++
-		case c >= 'a' && c <= 'z':
-			lower++
-		case c >= '0' && c <= '9':
-		case c == '+' || c == '/':
-			sawStd = true
-		case c == '-' || c == '_':
-			sawURL = true
-		default:
-			return nil, false, false
+// isBase64 reports whether region, classified as st, is plausibly
+// base64: alphabet bytes and whitespace only, padding only at the end,
+// at least 24 non-whitespace bytes, one alphabet's specials, and both
+// cases — real base64 of real content mixes case; a single-case run is
+// a word.
+//
+//mel:hotpath
+func isBase64(region []byte, st *byteStats) bool {
+	if st.seen&clsForeign != 0 || len(region)-st.ws < 24 ||
+		st.seen&(clsStd|clsURL) == clsStd|clsURL ||
+		st.seen&(clsUpper|clsLower) != clsUpper|clsLower {
+		return false
+	}
+	if pad := st.firstPad; pad >= 0 && pad < len(region) {
+		for _, c := range region[pad:] {
+			if c != '=' && sniffClass[c]&clsWS == 0 {
+				return false
+			}
 		}
-		if done && c != '=' {
-			return nil, false, false
-		}
-		n++
 	}
-	if n < 24 || (sawURL && sawStd) {
-		return nil, false, false
-	}
-	// Reject pure prose that happens to be alphabet-only: real base64 of
-	// real content mixes case; a single-case run is a word.
-	if upper == 0 || lower == 0 {
-		return nil, false, false
-	}
-	out := make([]byte, 0, n)
-	for _, c := range data {
-		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out, sawURL, true
-}
-
-// mimeBody looks for an RFC 822 header block and returns the body and
-// the declared Content-Transfer-Encoding (lower-cased), or ("", "")
-// when the payload is not MIME-framed.
-func mimeBody(data []byte) (body []byte, encoding string) {
-	sep := []byte("\r\n\r\n")
-	idx := bytes.Index(data, sep)
-	if idx < 0 {
-		sep = []byte("\n\n")
-		idx = bytes.Index(data, sep)
-	}
-	if idx < 0 {
-		return nil, ""
-	}
-	headers := data[:idx]
-	cte := []byte("content-transfer-encoding:")
-	for _, line := range bytes.Split(headers, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) < len(cte) {
-			continue
-		}
-		if !bytes.EqualFold(line[:len(cte)], cte) {
-			continue
-		}
-		return data[idx+len(sep):], string(bytes.ToLower(bytes.TrimSpace(line[len(cte):])))
-	}
-	return nil, ""
+	return true
 }
 
 // --- quoted-printable ---
 
-// peelQuotedPrintable decodes MIME quoted-printable. It sniffs for
-// either a CTE header declaring it or enough "=XX" escapes that the
-// decode changes the bytes.
-func peelQuotedPrintable(data []byte, budget int64) ([]byte, bool) {
-	body := data
-	declared := false
-	if b, enc := mimeBody(data); enc == "quoted-printable" {
-		body, declared = b, true
-	}
-	if !declared && countQPEscapes(body) < 4 {
+// peelQuotedPrintable decodes MIME quoted-printable from body,
+// classified as st. It sniffs for either a CTE header declaring it or
+// enough "=XX" escapes that the decode changes the bytes.
+//
+// A body with a line of qpLineMax bytes or more is rejected without
+// decoding, when len(body) <= budget: the stdlib reader's line buffer
+// always overflows on such a line, and QP output is never longer than
+// its input, so the budget cannot trip before the reader fails.
+func peelQuotedPrintable(body []byte, st *byteStats, declared bool, budget int64) ([]byte, bool) {
+	if !declared && st.qpEsc < 4 {
 		return nil, false
 	}
-	out, err := readBudget(quotedprintable.NewReader(bytes.NewReader(body)), budget)
+	if st.longLine && int64(len(body)) <= budget {
+		return nil, false
+	}
+	out, err := readBudget(quotedprintable.NewReader(bytes.NewReader(body)), budget, int64(len(body)))
 	if err != nil {
 		if errors.Is(err, ErrDecodeBudget) {
 			return nil, true
@@ -403,45 +640,22 @@ func peelQuotedPrintable(data []byte, budget int64) ([]byte, bool) {
 	return out, true
 }
 
-// countQPEscapes counts well-formed "=XX" hex escapes and "=\r\n" soft
-// breaks.
-func countQPEscapes(data []byte) int {
-	n := 0
-	for i := 0; i+2 < len(data); i++ {
-		if data[i] != '=' {
-			continue
-		}
-		if data[i+1] == '\r' && data[i+2] == '\n' {
-			n++
-			continue
-		}
-		if isHex(data[i+1]) && isHex(data[i+2]) {
-			n++
-		}
-	}
-	return n
-}
-
-func isHex(c byte) bool {
-	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-}
+// isHex reports whether c is a hex digit.
+//
+//mel:hotpath
+func isHex(c byte) bool { return sniffClass[c]&clsHex != 0 }
 
 // --- percent-encoding ---
 
 // peelPercent decodes URL percent-encoding. It requires enough "%XX"
 // escapes that the layer is plausibly deliberate; '+' is left alone
 // (space-encoding is form-specific and a worm byte is never '+'-coded).
-func peelPercent(data []byte, budget int64) ([]byte, bool) {
-	escapes := 0
-	for i := 0; i+2 < len(data); i++ {
-		if data[i] == '%' && isHex(data[i+1]) && isHex(data[i+2]) {
-			escapes++
-		}
-	}
+func peelPercent(data []byte, st *byteStats, budget int64) ([]byte, bool) {
+	escapes := st.pctEsc
 	if escapes < 4 {
 		return nil, false
 	}
-	if int64(len(data)) > budget+2*int64(escapes) {
+	if int64(len(data)-2*escapes) > budget {
 		return nil, true
 	}
 	out := make([]byte, 0, len(data)-2*escapes)
@@ -457,6 +671,7 @@ func peelPercent(data []byte, budget int64) ([]byte, bool) {
 	return out, true
 }
 
+//mel:hotpath
 func unhex(c byte) byte {
 	switch {
 	case c >= '0' && c <= '9':
@@ -475,31 +690,22 @@ func unhex(c byte) byte {
 // normalization can only shorten executable runs it did not decode.
 const utf8Sub = 0x1a
 
+// utf8BOM is the byte-order mark peelUTF8 strips.
+var utf8BOM = []byte{0xef, 0xbb, 0xbf}
+
 // peelUTF8 folds multi-byte UTF-8 back to raw bytes: each rune at or
 // below 0xFF becomes its single byte (the channel an attacker gets by
 // UTF-8-expanding high bytes), larger runes become a substitute, and a
-// leading BOM is stripped. Pure ASCII input has no layer to peel.
-func peelUTF8(data []byte, budget int64) ([]byte, bool) {
-	body := bytes.TrimPrefix(data, []byte{0xef, 0xbb, 0xbf})
-	hadBOM := len(body) != len(data)
-	if !utf8.Valid(body) {
+// leading BOM is stripped.
+func peelUTF8(data []byte, st *byteStats, budget int64) ([]byte, bool) {
+	body, multibyte, ok := utf8Layer(data, st)
+	if !ok {
 		return nil, false
 	}
-	multibyte := 0
-	for i := 0; i < len(body); {
-		_, size := utf8.DecodeRune(body[i:])
-		if size > 1 {
-			multibyte++
-		}
-		i += size
-	}
-	if multibyte == 0 || (!hadBOM && multibyte < 8) {
-		return nil, false
-	}
-	if int64(len(body)) > budget+int64(multibyte) {
+	if int64(len(body)-multibyte) > budget {
 		return nil, true
 	}
-	out := make([]byte, 0, len(body))
+	out := make([]byte, 0, len(body)-multibyte)
 	for i := 0; i < len(body); {
 		r, size := utf8.DecodeRune(body[i:])
 		if r <= 0xff {
@@ -510,4 +716,26 @@ func peelUTF8(data []byte, budget int64) ([]byte, bool) {
 		i += size
 	}
 	return out, true
+}
+
+// utf8Layer decides whether data, classified as st, has a UTF-8 layer:
+// valid UTF-8 after an optional BOM, with a BOM and at least one
+// multi-byte rune or at least 8 of them. It returns the body after the
+// BOM and its multi-byte rune count. In valid UTF-8 every multi-byte
+// rune starts with exactly one byte >= 0xC0 and no other byte is, so
+// the count is the classify pass's lead-byte count, less the BOM's: no
+// rune is decoded to reject, and pure ASCII (no lead byte) is rejected
+// before utf8.Valid runs.
+//
+//mel:hotpath
+func utf8Layer(data []byte, st *byteStats) (body []byte, multibyte int, ok bool) {
+	body, multibyte = data, st.leads
+	hadBOM := bytes.HasPrefix(data, utf8BOM)
+	if hadBOM {
+		body, multibyte = data[len(utf8BOM):], multibyte-1
+	}
+	if multibyte == 0 || (!hadBOM && multibyte < 8) || !utf8.Valid(body) {
+		return nil, 0, false
+	}
+	return body, multibyte, true
 }

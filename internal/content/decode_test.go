@@ -3,7 +3,11 @@ package content
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 func mustDecoder(t *testing.T, cfg DecoderConfig) *Decoder {
@@ -294,5 +298,125 @@ func TestNewDecoderValidation(t *testing.T) {
 	d := mustDecoder(t, DecoderConfig{})
 	if d.MaxDepth() != DefaultMaxDepth {
 		t.Fatalf("default MaxDepth = %d", d.MaxDepth())
+	}
+}
+
+// referenceCorpus is the differential workload: corpus text cases, raw
+// and behind every single layer and a few nested chains, plus the
+// decoder's edge seeds.
+func referenceCorpus(t *testing.T, n int) [][]byte {
+	t.Helper()
+	cases, err := corpus.Dataset(77, n, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bom := []byte{0xef, 0xbb, 0xbf}
+	chains := []Chain{
+		mustChain(t, "chunked>gzip>base64"),
+		mustChain(t, "gzip>qp"),
+		mustChain(t, "base64>gzip"),
+	}
+	var out [][]byte
+	for _, c := range cases {
+		out = append(out, c.Data, ExpandUTF8(c.Data), append(append([]byte{}, bom...), ExpandUTF8(c.Data)...))
+		for k := Kind(1); int(k) < numKinds; k++ {
+			enc, err := Encode(k, c.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, enc)
+		}
+		for _, ch := range chains {
+			enc, err := EncodeChain(ch, c.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, enc)
+		}
+		qp, err := EncodeQuotedPrintable(EncodeGzip(c.Data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, qp)
+	}
+	edges := decoderEdgeSeeds()
+	for _, name := range slices.Sorted(maps.Keys(edges)) {
+		out = append(out, edges[name])
+	}
+	return out
+}
+
+// TestViewsMatchReference holds Views to the reference peelers on
+// corpus traffic: the same views, byte for byte, in the same order,
+// under the default bounds, a shallow depth and a tight budget. One
+// Decoder serves every payload in turn, so its pooled inflaters see
+// each earlier payload's leftovers.
+func TestViewsMatchReference(t *testing.T) {
+	payloads := referenceCorpus(t, 24)
+	for _, cfg := range []DecoderConfig{{}, {MaxDepth: 1}, {MaxOutput: 5000}, {MaxDepth: 8, MaxOutput: 1 << 14}} {
+		d := mustDecoder(t, cfg)
+		for i, p := range payloads {
+			want := steps(referenceViews(d, p, 0))
+			if diff := diffSteps(steps(d.Views(p, 0)), want); diff != "" {
+				t.Fatalf("cfg %+v payload %d: %s", cfg, i, diff)
+			}
+		}
+	}
+}
+
+// TestPooledInflaterNoCarryOver: a corrupt gzip member decoded through
+// a Decoder must not change what the same Decoder makes of a valid
+// member next — the pooled inflater is reset, not resumed.
+func TestPooledInflaterNoCarryOver(t *testing.T) {
+	d := mustDecoder(t, DecoderConfig{})
+	valid := EncodeGzip(samplePayload())
+	corrupt := EncodeGzip(samplePayload())
+	corrupt[len(corrupt)/2] ^= 0x55
+	truncated := valid[:len(valid)/2]
+	for _, p := range [][]byte{corrupt, valid, truncated, valid, corrupt, corrupt, valid} {
+		if diff := diffSteps(steps(d.Views(p, 0)), steps(referenceViews(d, p, 0))); diff != "" {
+			t.Fatal(diff)
+		}
+	}
+	views, err := collect(d, valid)
+	if err != nil || len(views) == 0 || !bytes.Equal(views[0].Data, samplePayload()) {
+		t.Fatalf("valid member after corrupt ones: views=%d err=%v", len(views), err)
+	}
+}
+
+// TestQuotedPrintableLongLineNotPeeled pins a known soundness gap: a
+// quoted-printable body with a line of 4096 bytes or more is not
+// peeled, because the stdlib reader's 4096-byte line buffer overflows
+// on it. A worm QP-encoded on one long line therefore skips the QP
+// layer (DESIGN.md §12). The decoder rejects such a body without
+// decoding it; a line one byte shorter still decodes.
+func TestQuotedPrintableLongLineNotPeeled(t *testing.T) {
+	d := mustDecoder(t, DecoderConfig{})
+	for _, eol := range []string{"\n", "\r\n", ""} {
+		for n, wantQP := range map[int]bool{qpLineMax - 1: true, qpLineMax: false, qpLineMax + 1: false} {
+			views, err := collect(d, qpLine(n, eol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotQP := len(views) > 0 && views[0].Chain.String() == "qp"
+			if gotQP != wantQP {
+				t.Errorf("line of %d bytes, eol %q: qp view = %v, want %v", n, eol, gotQP, wantQP)
+			}
+		}
+	}
+}
+
+// TestViewsPlainTextAllocFree: a buffer that yields no view — plain
+// corpus text, the common case — is sniffed without allocating.
+func TestViewsPlainTextAllocFree(t *testing.T) {
+	d := mustDecoder(t, DecoderConfig{})
+	text := hostCase(t, 5)
+	allocs := testing.AllocsPerRun(20, func() {
+		for range d.Views(text, 0) {
+			t.Fatal("plain text yielded a view")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("plain-text Views: %.1f allocs/op, want 0", allocs)
 	}
 }

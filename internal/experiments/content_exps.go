@@ -36,9 +36,9 @@ type ContentBenchReport struct {
 }
 
 // ContentBench measures the content pipeline — triage gate cost, decode
-// throughput, and the gated pipeline against the scan-everything
-// baseline on mixed benign traffic (30% of bodies wrapped in base64 or
-// gzip) — and proves the detection win: a gzip-wrapped worm the raw
+// cost on a gzip case and on the plain-text reject path, and the gated
+// pipeline against the scan-everything baseline on mixed benign traffic
+// (30% of bodies wrapped in base64 or gzip) — and proves the detection win: a gzip-wrapped worm the raw
 // scan misses is caught through the decode path. Writes the JSON
 // artifact to outPath ("" skips the file).
 func ContentBench(w io.Writer, outPath string, seed uint64) (ContentBenchReport, error) {
@@ -180,6 +180,15 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 			}
 		}
 	})
+	// The reject path: one plain-text case, which sniffs no layer.
+	textRes := measure("decode_views_text_4k", len(benign), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for range dec.Views(benign, 0) {
+				b.Fatal("plain-text case yielded a view")
+			}
+		}
+	})
 	pipelineRes := measure("pipeline_mixed_4k", mixedBytes, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -210,7 +219,7 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 		}
 	})
 
-	report.Results = []EngineBenchResult{triageRes, decodeRes, pipelineRes, baselineRes}
+	report.Results = []EngineBenchResult{triageRes, decodeRes, textRes, pipelineRes, baselineRes}
 	if pipelineRes.NsPerOp > 0 {
 		report.PipelineSpeedup = baselineRes.NsPerOp / pipelineRes.NsPerOp
 	}

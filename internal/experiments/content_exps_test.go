@@ -10,10 +10,10 @@ import (
 )
 
 // TestContentBenchReduced runs the content benchmark on a small mixed
-// set: the triage hot path must be allocation-free, the clear rate on
-// benign mixed traffic must reach the 50% floor, the wrapped-worm
-// detection win must hold in both directions, and the JSON artifact
-// must round-trip.
+// set: the triage hot path and the decoder's plain-text reject path
+// must be allocation-free, the clear rate on benign mixed traffic must
+// reach the 50% floor, the wrapped-worm detection win must hold in both
+// directions, and the JSON artifact must round-trip.
 func TestContentBenchReduced(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_content.json")
 	var buf bytes.Buffer
@@ -21,7 +21,7 @@ func TestContentBenchReduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Results) != 4 {
+	if len(report.Results) != 5 {
 		t.Fatalf("results = %+v", report.Results)
 	}
 	byName := map[string]EngineBenchResult{}
@@ -30,6 +30,9 @@ func TestContentBenchReduced(t *testing.T) {
 	}
 	if tri := byName["triage_assess_4k"]; tri.AllocsPerOp != 0 {
 		t.Errorf("triage hot path allocates: %d allocs/op", tri.AllocsPerOp)
+	}
+	if text := byName["decode_views_text_4k"]; text.AllocsPerOp != 0 {
+		t.Errorf("plain-text decode reject path allocates: %d allocs/op", text.AllocsPerOp)
 	}
 	if report.TriageClearRate < 0.5 {
 		t.Errorf("triage clear rate %.2f below the 0.5 floor", report.TriageClearRate)
@@ -53,7 +56,7 @@ func TestContentBenchReduced(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.TriageClearRate != report.TriageClearRate || len(decoded.Results) != 4 {
+	if decoded.TriageClearRate != report.TriageClearRate || len(decoded.Results) != 5 {
 		t.Errorf("artifact round trip mismatch: %+v", decoded)
 	}
 }
