@@ -56,14 +56,17 @@ test:
 # ci is the full gate a commit must pass: compile, vet, the analyzer
 # suite (failing on any non-baselined finding), the race-enabled tests
 # — which include the lint framework's own tests and the self-hosting
-# TestRepoIsClean gate — short fuzz smokes over the wire codec and the
+# TestRepoIsClean gate — short fuzz smokes over the wire codec, the
 # content decoder (whose fuzz target checks Views against the reference
-# peelers), and the bench guard, which fails the gate outright if the
-# engine regressed against the committed BENCH_engine.json.
+# peelers) and the scan core (fused and traced scans, stream windows
+# and ScanReference against each other), and the bench guard, which
+# fails the gate outright if the engine regressed against the committed
+# BENCH_engine.json.
 ci: build vet lint verify
 	$(GO) test -race ./...
 	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
+	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s ./internal/mel/
 	$(MAKE) bench-guard
 
 # bench-smoke runs the engine benchmark once with the JSON artifact

@@ -50,8 +50,8 @@ import (
 //     fused DP's internal invariants (Engine.VerifyScanInvariants):
 //     every record scanFused consumes is one the spec derives, the
 //     back-edge count matches a direct tally, and the fused result —
-//     including the chain-walk fallback — equals the two-pass DP and
-//     ScanReference down to the explored-state count.
+//     including the chain-walk fallback — equals ScanReference down to
+//     the explored-state count.
 //
 // Soundness boundary: the dynamic leg verifies the decoder compiled
 // into the running mellint binary, which `go run ./cmd/mellint` builds

@@ -450,10 +450,12 @@ func (e *Engine) Scan(stream []byte) (Result, error) {
 	return e.ScanTraced(stream, nil)
 }
 
-// ScanTraced is Scan with per-stage instrumentation: the decode pass
-// (every offset reduced to its record) and the DP over the records are
-// timed onto tr as StageDecode and StageDP. A nil trace is free apart
-// from the nil checks — Scan is exactly ScanTraced(stream, nil).
+// ScanTraced is Scan with per-stage instrumentation, timed onto tr. In
+// the sequential modes the scan is the fused single pass (decode and DP
+// in one backward sweep), timed as StageDP; StageDecode stays unset. In
+// all-paths mode every record is built first (StageDecode) and the
+// exploration runs over them (StageDP). A nil trace is free apart from
+// the nil checks — Scan is exactly ScanTraced(stream, nil).
 //
 //mel:hotpath
 func (e *Engine) ScanTraced(stream []byte, tr *tracing.Trace) (Result, error) {
@@ -466,47 +468,49 @@ func (e *Engine) ScanTraced(stream []byte, tr *tracing.Trace) (Result, error) {
 	s := acquireState(e, stream)
 	defer releaseState(s)
 	s.ensureRecs()
-	if tr == nil && e.mode != ModeAllPaths {
-		// Hot path: decode and the suffix DP run as one backward pass.
-		best, bestStart, ok := s.scanFused(0)
-		if !ok {
-			// A backward transfer voids the suffix order; the records
-			// are fully built, so run the chain walk over them.
-			if e.rules.TrackRegisterInit {
-				best, bestStart = s.scanSequentialTracked()
-			} else {
-				best, bestStart = s.scanSequential()
-			}
-		}
-		return Result{MEL: best, BestStart: bestStart, States: s.states}, nil
-	}
-	tr.StageStart(tracing.StageDecode)
-	s.buildRecords(0)
-	tr.StageEnd(tracing.StageDecode)
-	tr.StageStart(tracing.StageDP)
-	best, bestStart := s.run()
-	tr.StageEnd(tracing.StageDP)
+	best, bestStart := s.scanTraced(0, tr)
 	return Result{MEL: best, BestStart: bestStart, States: s.states}, nil
 }
 
-// run dispatches the DP over the packed records for the engine's mode
-// and rules. The caller must have run buildRecords for the full stream.
+// scanTraced runs the scan over s.code, whose records below from are
+// already in place (the window carry; the caller guarantees they hold
+// no back edges), timing it onto tr. Sequential modes take the fused
+// single pass, falling back to the chain walk over the then fully built
+// records when a backward transfer voids the suffix order.
+//
+//mel:hotpath
+func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int) {
+	e := s.e
+	if e.mode == ModeAllPaths {
+		s.backEdges = 0 // buildRecords counts only the offsets it decodes
+		tr.StageStart(tracing.StageDecode)
+		s.buildRecords(from)
+		tr.StageEnd(tracing.StageDecode)
+		tr.StageStart(tracing.StageDP)
+		best, bestStart = s.run()
+		tr.StageEnd(tracing.StageDP)
+		return best, bestStart
+	}
+	tr.StageStart(tracing.StageDP)
+	best, bestStart, ok := s.scanFused(from)
+	if !ok {
+		if e.rules.TrackRegisterInit {
+			best, bestStart = s.scanSequentialTracked()
+		} else {
+			best, bestStart = s.scanSequential()
+		}
+	}
+	tr.StageEnd(tracing.StageDP)
+	return best, bestStart
+}
+
+// run is the all-paths exploration over the packed records: the
+// memoized DFS from every offset, forking at conditional branches. The
+// caller must have run buildRecords for the full stream.
 //
 //mel:hotpath
 func (s *scanState) run() (best, bestStart int) {
 	e := s.e
-	switch {
-	case e.mode != ModeAllPaths && !e.rules.TrackRegisterInit:
-		if s.backEdges == 0 {
-			return s.scanSequentialSuffix()
-		}
-		return s.scanSequential()
-	case e.mode != ModeAllPaths:
-		if s.backEdges == 0 {
-			return s.scanSequentialTrackedSuffix()
-		}
-		return s.scanSequentialTracked()
-	}
 	mask := regMask(0xFF)
 	if e.rules.TrackRegisterInit {
 		mask = initialMask
@@ -761,135 +765,6 @@ func (s *scanState) longest(off int, mask regMask) int {
 	return 1 + ext
 }
 
-// scanSequentialSuffix is the suffix-run form of scanSequential for
-// streams with no backward transfers (s.backEdges == 0 — all of
-// printable text, whose displacement bytes are non-negative). Every
-// successor then lies strictly ahead of its offset, so one backward
-// sweep resolves dp[off] = 1 + dp[succ(off)] directly against
-// already-final memo cells: no DFS stack, no in-progress marking, no
-// unwind, and no serial chain dependence — consecutive iterations only
-// read finished suffix values. Memo contents and state counts are
-// identical to the chain walk's (each offset is written exactly once in
-// both), so results stay byte-identical to ScanReference.
-//
-//mel:hotpath
-func (s *scanState) scanSequentialSuffix() (best, bestStart int) {
-	n := len(s.code)
-	if n == 0 {
-		return 0, 0
-	}
-	// Every cell is written before any read of it (successors lie
-	// strictly ahead of a backward sweep), so the acquire skips the
-	// zeroing clear. The best tracking folds into the same pass: >=
-	// moves the start to the smallest offset achieving the maximum,
-	// which is exactly the forward first-strict-improvement rule.
-	memo := s.table(0xFF, false)[:n]
-	recs := s.recs[:n]
-	var bestV int32
-	for off := n - 1; off >= 0; off-- {
-		r := recs[off]
-		kind := uint8(r>>recKindShift) & 7
-		var v int32
-		switch {
-		case kind == ctrlInvalid:
-			v = 1
-		case kind == ctrlEnd:
-			v = 2
-		default:
-			next := off + int(r&recLenMask)
-			if kind == ctrlJump {
-				next += int(int32(r >> recDispShift))
-			}
-			if uint(next) >= uint(n) {
-				v = 2 // leaving the stream ends the path
-			} else {
-				v = memo[next] + 1
-			}
-		}
-		memo[off] = v
-		if v >= bestV {
-			bestV = v
-			bestStart = off
-		}
-	}
-	s.states += n
-	return int(bestV) - 1, bestStart
-}
-
-// scanSequentialTrackedSuffix is the suffix-run sweep with register
-// tracking. The initial-mask table is filled backward exactly as in
-// scanSequentialSuffix; when an instruction's register transition
-// diverges from the initial mask, the successor state lives in another
-// table and is resolved through the memoized DFS (longestRec), which
-// explores precisely the states the chain walk would have — divergence
-// is rare on text, so the sweep stays linear.
-//
-//mel:hotpath
-func (s *scanState) scanSequentialTrackedSuffix() (best, bestStart int) {
-	n := len(s.code)
-	if n == 0 {
-		return 0, 0
-	}
-	// As in scanSequentialSuffix: every cell is written before any read
-	// (divergent-mask lookups only ever reach offsets ahead of the
-	// sweep), so the acquire skips the zeroing clear, and the best
-	// tracking folds into the backward pass.
-	t0 := s.table(initialMask, false)[:n]
-	recs := s.recs[:n]
-	states := s.states
-	var bestV int32
-	lastMask := initialMask
-	lastT := t0
-	for off := n - 1; off >= 0; off-- {
-		r := recs[off]
-		kind := uint8(r>>recKindShift) & 7
-		var v int32
-		switch {
-		case kind == ctrlInvalid || regMask(uint8(r>>recNeedShift))&^initialMask != 0:
-			v = 1
-		case kind == ctrlEnd:
-			v = 2
-		default:
-			next := off + int(r&recLenMask)
-			if kind == ctrlJump {
-				next += int(int32(r >> recDispShift))
-			}
-			if uint(next) >= uint(n) {
-				v = 2 // leaving the stream ends the path
-			} else if trKind := uint8(r>>recTrKindShift) & 3; trKind == transNone {
-				v = t0[next] + 1
-			} else if nm := applyTrans(trKind, uint8(r>>recTrArgShift), initialMask); nm == initialMask {
-				v = t0[next] + 1
-			} else {
-				// Divergent mask: resolve the successor state through the
-				// memoized DFS over its own table. The last divergent
-				// table is cached, and a memo hit — the common case once
-				// a run of the same transition has been seen — resolves
-				// with a single load, no call.
-				if nm != lastMask {
-					lastT = s.tableSparse(nm)
-					lastMask = nm
-				}
-				if mv := lastT[next]; mv > 0 {
-					v = mv + 1
-				} else {
-					s.states = states
-					v = s.chainRecT(next, nm, lastT) + 1
-					states = s.states
-				}
-			}
-		}
-		t0[off] = v
-		states++
-		if v >= bestV {
-			bestV = v
-			bestStart = off
-		}
-	}
-	s.states = states
-	return int(bestV) - 1, bestStart
-}
-
 // scanFused is the anchored single-pass scan core: decode and the
 // suffix-run DP run as ONE backward pass over the stream. The DP at an
 // offset only consults records and memo cells strictly ahead of it,
@@ -901,7 +776,9 @@ func (s *scanState) scanSequentialTrackedSuffix() (best, bestStart int) {
 // the remaining offsets, the memo prefix the DP never wrote is
 // re-zeroed, and ok=false tells the caller to run the chain-walk
 // fallback over the fully built records. Memo contents and state
-// counts are identical to the two-pass form in every case.
+// counts are identical to the chain walk's in every case (each offset
+// is written exactly once in both), so results stay byte-identical to
+// ScanReference.
 //
 //mel:hotpath
 func (s *scanState) scanFused(from int) (best, bestStart int, ok bool) {
@@ -1040,10 +917,14 @@ func (s *scanState) scanFusedSeq(from int) (best, bestStart int, ok bool) {
 	return int(bestV) - 1, bestStart, true
 }
 
-// scanFusedTracked is scanFused with register tracking: the DP half is
-// scanSequentialTrackedSuffix's, including the cached divergent-mask
-// resolution through the memoized DFS (whose forward-only exploration
-// never outruns the already-decoded suffix).
+// scanFusedTracked is scanFused with register tracking. The
+// initial-mask table is filled backward exactly as in scanFusedSeq;
+// when an instruction's register transition diverges from the initial
+// mask, the successor state lives in another table and is resolved
+// through the memoized chain walk (chainRecT), which explores precisely
+// the states the reference DFS would — and whose forward-only
+// exploration never outruns the already-decoded suffix. Divergence is
+// rare on text, so the sweep stays linear.
 //
 //mel:hotpath
 func (s *scanState) scanFusedTracked(from int) (best, bestStart int, ok bool) {
@@ -1124,6 +1005,10 @@ func (s *scanState) scanFusedTracked(from int) (best, bestStart int, ok bool) {
 				} else if nm := applyTrans(trKind, uint8(r>>recTrArgShift), initialMask); nm == initialMask {
 					v = t0[next] + 1
 				} else {
+					// The last divergent table is cached, and a memo hit
+					// — the common case once a run of the same
+					// transition has been seen — resolves with a single
+					// load, no call.
 					if nm != lastMask {
 						lastT = s.tableSparse(nm)
 						lastMask = nm
@@ -1164,9 +1049,9 @@ func (s *scanState) scanFusedTracked(from int) (best, bestStart int, ok bool) {
 // it in reverse, assigning dp values on the way back. Backward jumps can
 // form cycles; they are cut exactly as the reference DFS cuts them (an
 // offset already on the active chain contributes 0), so results are
-// byte-identical to ScanReference. The caller must have run
-// buildRecords first (ScanTraced does, so the decode pass is timed
-// separately from the DP).
+// byte-identical to ScanReference. It is the fallback of the fused
+// pass (scanTraced), which has built every record by the time it
+// reports a back edge.
 //
 //mel:hotpath
 func (s *scanState) scanSequential() (best, bestStart int) {
@@ -1240,8 +1125,9 @@ func (s *scanState) scanSequential() (best, bestStart int) {
 // visited states, and unwind in reverse assigning memo values — the same
 // shape as scanSequential but with per-mask tables and the compiled
 // register transitions. Visit order, cycle cuts, and memo writes match
-// the reference DFS exactly, so results are byte-identical. The caller
-// must have run buildRecords first.
+// the reference DFS exactly, so results are byte-identical. Like
+// scanSequential, it runs over the records the aborted fused pass
+// built.
 //
 //mel:hotpath
 func (s *scanState) scanSequentialTracked() (best, bestStart int) {

@@ -818,10 +818,9 @@ func immWidthsEqual(inst *x86.Inst) bool {
 // decoder — backward so a segment-override prefix can derive its record
 // from the already-final successor record (segDerive). Offsets below
 // from keep their existing records — the stream-carry reuse path
-// (WindowScanner). The scan hot path does not come through here:
-// ScanTraced fuses this loop with the suffix DP (scanFused*);
-// buildRecords serves the traced two-pass form, the all-paths mode, and
-// the carry re-decode.
+// (WindowScanner). The sequential modes do not come through here:
+// they fuse this loop with the suffix DP (scanFused*). buildRecords
+// serves the all-paths mode and melverify's record check.
 //
 //mel:hotpath
 func (s *scanState) buildRecords(from int) {

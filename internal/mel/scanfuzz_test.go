@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry/tracing"
 )
 
 // fuzzEngines caches compiled engines per (rules, mode) so each fuzz
@@ -25,8 +27,11 @@ func fuzzEngine(sel uint8) *Engine {
 
 // FuzzScanDifferential holds the optimized scan to the retained naive
 // implementation on arbitrary streams: Result{MEL, BestStart, States}
-// must be byte-identical, and rescanning each input as overlapping
-// carried windows must match a fresh scan of every window.
+// must be byte-identical, with and without a trace attached (the
+// sequential modes then time the fused pass as the DP stage and leave
+// the decode stage unset), and rescanning each input as overlapping
+// carried windows, traced and untraced in turn, must match a fresh
+// scan of every window.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add([]byte("The quick brown fox jumps over the lazy dog 1234567890"), uint8(0))
 	// Sled-like run of single-byte instructions ending in a short jump.
@@ -50,6 +55,16 @@ func FuzzScanDifferential(f *testing.F) {
 		if got != want {
 			t.Fatalf("Scan=%+v ScanReference=%+v (len %d)", got, want, len(data))
 		}
+		tr := tracing.New(tracing.TraceID{}, len(data))
+		if traced, err := e.ScanTraced(data, tr); err != nil || traced != want {
+			t.Fatalf("ScanTraced=%+v (%v) ScanReference=%+v", traced, err, want)
+		}
+		if tr.StageDur(tracing.StageDP) < 0 {
+			t.Fatal("traced scan left the DP stage unset")
+		}
+		if fused := e.mode != ModeAllPaths; fused != (tr.StageDur(tracing.StageDecode) < 0) {
+			t.Fatalf("fused=%v but decode stage = %v", fused, tr.StageDur(tracing.StageDecode))
+		}
 
 		// Boundary straddling: feed the stream as overlapping windows
 		// through the carrying scanner; every window's result must be
@@ -64,7 +79,11 @@ func FuzzScanDifferential(f *testing.F) {
 				end = len(data)
 			}
 			w := data[off:end]
-			carried, err := ws.ScanNext(w, advance)
+			var wtr *tracing.Trace
+			if (off/stride)%2 == 1 {
+				wtr = tracing.New(tracing.TraceID{}, len(w))
+			}
+			carried, err := ws.ScanNextTraced(w, advance, wtr)
 			if err != nil {
 				t.Fatalf("window at %d: %v", off, err)
 			}

@@ -89,10 +89,9 @@ func (w *WindowScanner) ScanNext(window []byte, advance int) (Result, error) {
 	return w.ScanNextTraced(window, advance, nil)
 }
 
-// ScanNextTraced is ScanNext with per-stage instrumentation: decode and
-// DP stage timings and the carried-record count land on tr. A nil
-// trace selects the fused single-pass core; a live trace runs the
-// two-pass form so the stages are separable, exactly like ScanTraced.
+// ScanNextTraced is ScanNext with per-stage instrumentation: the scan
+// is timed onto tr exactly as ScanTraced times it, and the
+// carried-record count lands on tr too.
 //
 //mel:hotpath
 func (w *WindowScanner) ScanNextTraced(window []byte, advance int, tr *tracing.Trace) (Result, error) {
@@ -126,27 +125,7 @@ func (w *WindowScanner) ScanNextTraced(window []byte, advance int, tr *tracing.T
 			from = 0
 		}
 	}
-	e := w.e
-	var best, bestStart int
-	if tr == nil && e.mode != ModeAllPaths {
-		var ok bool
-		best, bestStart, ok = s.scanFused(from)
-		if !ok {
-			if e.rules.TrackRegisterInit {
-				best, bestStart = s.scanSequentialTracked()
-			} else {
-				best, bestStart = s.scanSequential()
-			}
-		}
-	} else {
-		s.backEdges = 0 // the carried region was just checked clean
-		tr.StageStart(tracing.StageDecode)
-		s.buildRecords(from)
-		tr.StageEnd(tracing.StageDecode)
-		tr.StageStart(tracing.StageDP)
-		best, bestStart = s.run()
-		tr.StageEnd(tracing.StageDP)
-	}
+	best, bestStart := s.scanTraced(from, tr)
 	tr.SetCarry(from)
 	w.lastReused = from
 	w.stats.Windows++

@@ -71,13 +71,16 @@ type PoolConfig struct {
 	Events *events.Journal
 }
 
-// job is one queued scan. content selects the pipeline path.
+// job is one scan request. content selects the pipeline path; key is
+// the verdict-cache key, computed once at submission (zero when the
+// pool has no cache).
 type job struct {
 	payload  []byte
 	enqueued time.Time
 	deadline time.Time
 	tr       *tracing.Trace
 	content  bool
+	key      cacheKey
 	done     func(v core.Verdict, cached bool, err error)
 }
 
@@ -104,7 +107,7 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 		malicious: reg.Counter("verdicts_malicious_total", "verdicts that flagged the payload"),
 		benign:    reg.Counter("verdicts_benign_total", "verdicts that passed the payload"),
 		hits:      reg.Counter("cache_hits_total", "verdicts served from the content-hash cache"),
-		misses:    reg.Counter("cache_misses_total", "payloads that required pseudo-execution"),
+		misses:    reg.Counter("cache_misses_total", "cache lookups that fell through to a scan"),
 		shed:      reg.Counter("shed_total", "requests shed because the queue was full"),
 		deadline:  reg.Counter("deadline_exceeded_total", "requests that expired before a worker reached them"),
 		depth:     reg.Gauge("queue_depth", "jobs waiting for a worker"),
@@ -115,9 +118,10 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 
 // Pool is a bounded scan worker pool with an optional verdict cache.
 // It is the shared execution engine behind the TCP server and the
-// proxy's pooled mode: submissions either queue, shed (ErrOverloaded),
-// or — after Close — fail with ErrShuttingDown. Close drains queued
-// work before returning.
+// proxy's pooled mode. The cache is consulted at submission: a hit is
+// answered on the submitting goroutine and never queues or sheds. A
+// miss either queues, sheds (ErrOverloaded), or — after Close — fails
+// with ErrShuttingDown. Close drains queued work before returning.
 type Pool struct {
 	det       *core.Detector
 	pipe      *content.Pipeline
@@ -178,11 +182,15 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // Metrics returns the registry the pool reports into.
 func (p *Pool) Metrics() *telemetry.Registry { return p.reg }
 
-// Submit enqueues a scan without blocking: a full queue sheds the
-// request with ErrOverloaded, a closed pool rejects it with
-// ErrShuttingDown. On nil error, done is called exactly once, from a
-// worker goroutine, with the verdict (or a typed error). A non-zero
-// deadline expires queued requests with ErrDeadlineExceeded.
+// Submit runs a scan without blocking. A request that can be answered
+// at once — a verdict-cache hit, or a deadline that has already passed
+// — completes on the calling goroutine: done runs synchronously,
+// before Submit returns. Otherwise the scan is queued for a worker, and
+// done runs later on the worker's goroutine. Either way, on nil error
+// done is called exactly once, with the verdict or a typed error. A
+// full queue sheds the request with ErrOverloaded and a closed pool
+// rejects it with ErrShuttingDown; done is then never called. A
+// non-zero deadline expires queued requests with ErrDeadlineExceeded.
 //
 //mel:hotpath
 func (p *Pool) Submit(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {
@@ -217,11 +225,26 @@ func (p *Pool) SubmitContentTraced(payload []byte, deadline time.Time, tr *traci
 	return p.submit(payload, deadline, tr, true, done)
 }
 
-// submit is the shared non-blocking enqueue behind every Submit
-// variant.
+// submit is the shared non-blocking path behind every Submit variant.
+// The close flag is checked before the inline answer, so a closed pool
+// refuses even cached payloads, and checked again under the lock that
+// orders the enqueue before Close's channel close. done never runs
+// while that lock is held.
 //
 //mel:hotpath
 func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent bool, done func(v core.Verdict, cached bool, err error)) error {
+	if p.isClosed() {
+		p.rejectEvent(len(payload), tr, isContent, events.CauseShutdown)
+		return ErrShuttingDown
+	}
+	j := job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}
+	if p.expired(&j, j.enqueued) {
+		return nil
+	}
+	if v, ok := p.lookup(&j); ok {
+		j.done(v, true, nil)
+		return nil
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -231,7 +254,7 @@ func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isC
 	p.m.depth.Inc()
 	tr.StageStart(tracing.StageQueueWait)
 	select {
-	case p.jobs <- job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}:
+	case p.jobs <- j:
 		p.publishPressure()
 		return nil
 	default:
@@ -240,6 +263,69 @@ func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isC
 		p.rejectEvent(len(payload), tr, isContent, events.CauseShed)
 		return ErrOverloaded
 	}
+}
+
+// isClosed reports whether Close has begun.
+//
+//mel:hotpath
+func (p *Pool) isClosed() bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.closed
+}
+
+// expired fails j with ErrDeadlineExceeded when its deadline is
+// before now, reporting whether it did (done has then run).
+//
+//mel:hotpath
+func (p *Pool) expired(j *job, now time.Time) bool {
+	if j.deadline.IsZero() || !now.After(j.deadline) {
+		return false
+	}
+	p.m.deadline.Inc()
+	p.abort(j.tr, ErrDeadlineExceeded)
+	p.recordJobEvent(j, core.Verdict{}, false, events.CauseDeadline)
+	j.done(core.Verdict{}, false, ErrDeadlineExceeded)
+	return true
+}
+
+// lookup hashes j's payload into j.key and probes the verdict cache,
+// timing both as the cache stage. On a hit the verdict is served —
+// counted, traced, recorded — and returned for the caller to deliver;
+// a miss is not counted here (cache_misses_total counts the scans
+// that run).
+//
+//mel:hotpath
+func (p *Pool) lookup(j *job) (core.Verdict, bool) {
+	if p.cache == nil {
+		return core.Verdict{}, false
+	}
+	j.tr.StageStart(tracing.StageCache)
+	j.key = cacheKey{sum: sha256.Sum256(j.payload), content: j.content}
+	v, ok := p.cache.get(j.key)
+	j.tr.StageEnd(tracing.StageCache)
+	if !ok {
+		return core.Verdict{}, false
+	}
+	return p.serveHit(j, v), true
+}
+
+// serveHit does a cache hit's bookkeeping: the hit counter, the trace's
+// verdict fields (and its own id on the returned verdict), then finish.
+//
+//mel:hotpath
+func (p *Pool) serveHit(j *job, v core.Verdict) core.Verdict {
+	p.m.hits.Inc()
+	if tr := j.tr; tr != nil {
+		tr.SetCached(true)
+		tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
+		if j.content {
+			tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
+		}
+		v.TraceID = tr.ID
+	}
+	p.finish(j, v, true)
+	return v
 }
 
 // rejectEvent journals a submission that never reached a worker (shed
@@ -267,8 +353,10 @@ func (p *Pool) rejectEvent(n int, tr *tracing.Trace, isContent bool, cause event
 	p.journal.Record(&e)
 }
 
-// jobEvent builds the wide event for a job that reached a worker,
+// jobEvent builds the wide event for a job that was served or failed,
 // preferring the trace's bookkeeping when tracing is on.
+//
+//mel:hotpath
 func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause) events.Event {
 	e := events.Event{
 		StartUnixNs: j.enqueued.UnixNano(),
@@ -308,7 +396,9 @@ func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause)
 	return e
 }
 
-// recordJobEvent journals a worker-path outcome; nil journal no-ops.
+// recordJobEvent journals a served or failed job; nil journal no-ops.
+//
+//mel:hotpath
 func (p *Pool) recordJobEvent(j *job, v core.Verdict, cached bool, cause events.Cause) {
 	if p.journal == nil {
 		return
@@ -343,8 +433,8 @@ func (p *Pool) autoTrace(n int) *tracing.Trace {
 // Do runs one scan through the pool and waits for the result. Unlike
 // Submit it blocks for a queue slot (honouring ctx), which is the
 // right behaviour for in-process callers like the proxy that own their
-// own flow control. The bool reports whether the verdict came from the
-// cache.
+// own flow control. A cache hit returns at once without queueing. The
+// bool reports whether the verdict came from the cache.
 func (p *Pool) Do(ctx context.Context, payload []byte) (core.Verdict, bool, error) {
 	return p.do(ctx, payload, false)
 }
@@ -358,14 +448,11 @@ func (p *Pool) DoContent(ctx context.Context, payload []byte) (core.Verdict, boo
 	return p.do(ctx, payload, true)
 }
 
-// do is the blocking enqueue shared by Do and DoContent.
+// do is the blocking path shared by Do and DoContent.
 func (p *Pool) do(ctx context.Context, payload []byte, isContent bool) (core.Verdict, bool, error) {
-	type result struct {
-		v      core.Verdict
-		cached bool
-		err    error
+	if p.isClosed() {
+		return core.Verdict{}, false, ErrShuttingDown
 	}
-	ch := make(chan result, 1)
 	var deadline time.Time
 	if t, ok := ctx.Deadline(); ok {
 		deadline = t
@@ -376,8 +463,17 @@ func (p *Pool) do(ctx context.Context, payload []byte, isContent bool) (core.Ver
 		deadline: deadline,
 		tr:       p.autoTrace(len(payload)),
 		content:  isContent,
-		done:     func(v core.Verdict, cached bool, err error) { ch <- result{v, cached, err} },
 	}
+	if v, ok := p.lookup(&j); ok {
+		return v, true, nil
+	}
+	type result struct {
+		v      core.Verdict
+		cached bool
+		err    error
+	}
+	ch := make(chan result, 1)
+	j.done = func(v core.Verdict, cached bool, err error) { ch <- result{v, cached, err} }
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -443,36 +539,19 @@ func (p *Pool) worker() {
 	}
 }
 
-// serve executes one job: deadline check, cache lookup, scan, cache
-// fill, metrics. Each phase is timed onto the job's trace when tracing
-// is on.
+// serve executes one queued miss: deadline check, cache re-probe,
+// scan, cache fill, metrics. The re-probe reuses the key hashed at
+// submission, so identical payloads queued together are scanned once.
+// Each phase is timed onto the job's trace when tracing is on.
 func (p *Pool) serve(j job) {
 	tr := j.tr
 	tr.StageEnd(tracing.StageQueueWait)
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		p.m.deadline.Inc()
-		p.abort(tr, ErrDeadlineExceeded)
-		p.recordJobEvent(&j, core.Verdict{}, false, events.CauseDeadline)
-		j.done(core.Verdict{}, false, ErrDeadlineExceeded)
+	if p.expired(&j, time.Now()) {
 		return
 	}
-	var key cacheKey
 	if p.cache != nil {
-		tr.StageStart(tracing.StageCache)
-		key = cacheKey{sum: sha256.Sum256(j.payload), content: j.content}
-		v, ok := p.cache.get(key)
-		tr.StageEnd(tracing.StageCache)
-		if ok {
-			p.m.hits.Inc()
-			if tr != nil {
-				tr.SetCached(true)
-				tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
-				if j.content {
-					tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
-				}
-				v.TraceID = tr.ID
-			}
-			p.finish(j, v, true)
+		if v, ok := p.cache.get(j.key); ok {
+			j.done(p.serveHit(&j, v), true, nil)
 			return
 		}
 		p.m.misses.Inc()
@@ -497,9 +576,10 @@ func (p *Pool) serve(j job) {
 		// future hits; each hit stamps its own.
 		cv := v
 		cv.TraceID = tracing.TraceID{}
-		p.cache.put(key, cv)
+		p.cache.put(j.key, cv)
 	}
-	p.finish(j, v, false)
+	p.finish(&j, v, false)
+	j.done(v, false, nil)
 }
 
 // abort completes and records a trace for a failed request.
@@ -512,11 +592,13 @@ func (p *Pool) abort(tr *tracing.Trace, err error) {
 	p.rec.Record(tr)
 }
 
-// finish records a served verdict and delivers it. The trace is
-// finished and recorded (and its id attached to the latency histogram
-// as an exemplar) before done runs, so a client that immediately
-// queries /debug/traces sees its own request.
-func (p *Pool) finish(j job, v core.Verdict, cached bool) {
+// finish records a served verdict; the caller delivers it to done.
+// The trace is finished and recorded (and its id attached to the
+// latency histogram as an exemplar) before done runs, so a client that
+// immediately queries /debug/traces sees its own request.
+//
+//mel:hotpath
+func (p *Pool) finish(j *job, v core.Verdict, cached bool) {
 	p.m.scans.Inc()
 	p.m.bytes.Add(uint64(len(j.payload)))
 	if v.Malicious {
@@ -528,15 +610,14 @@ func (p *Pool) finish(j job, v core.Verdict, cached bool) {
 	if j.tr != nil {
 		j.tr.Finish()
 		p.rec.Record(j.tr)
-		p.m.latency.ObserveExemplar(lat, j.tr.ID.String())
+		p.m.latency.ObserveExemplar(lat, j.tr.ID)
 	} else {
 		p.m.latency.Observe(lat)
 	}
 	if p.onVerdict != nil {
 		p.onVerdict(v)
 	}
-	p.recordJobEvent(&j, v, cached, events.CauseOK)
-	j.done(v, cached, nil)
+	p.recordJobEvent(j, v, cached, events.CauseOK)
 }
 
 // Queue reports the job queue's current depth and capacity — the

@@ -8,7 +8,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,8 +70,14 @@ func TestVerdictCacheConcurrentHammer(t *testing.T) {
 }
 
 // TestPoolConcurrentHammer: goroutines hammer Submit and Do against a
-// small pool; every call must resolve to exactly one of {verdict,
-// ErrOverloaded, ErrShuttingDown} with nothing lost or hung.
+// small pool whose cache holds fewer payloads than the hammer cycles
+// through, so inline hits, queued misses and evictions interleave, and
+// a share of submissions arrive already expired. Every call must
+// resolve to exactly one of {verdict, ErrOverloaded,
+// ErrDeadlineExceeded} with nothing lost or hung: an accepted
+// submission's done runs exactly once, a shed one's never, and
+// served + shed + deadline + error = submitted, both as the callers
+// saw it and in the pool's counters.
 func TestPoolConcurrentHammer(t *testing.T) {
 	det, err := core.New()
 	if err != nil {
@@ -79,7 +87,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolConfig{Detector: det, Workers: 4, QueueDepth: 4, CacheSize: 8})
+	pool, err := NewPool(PoolConfig{Detector: det, Workers: 4, QueueDepth: 4, CacheSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +123,40 @@ func TestPoolConcurrentHammer(t *testing.T) {
 					continue
 				}
 				// Shedding path: both outcomes are legal; anything else is
-				// a bug.
-				done := make(chan error, 1)
-				err := pool.Submit(p, time.Time{}, func(_ core.Verdict, _ bool, err error) { done <- err })
+				// a bug. Every seventh submission is already expired.
+				var deadline time.Time
+				if i%7 == 1 {
+					deadline = time.Now().Add(-time.Millisecond)
+				}
+				var calls atomic.Int32
+				done := make(chan error, 2)
+				err := pool.Submit(p, deadline, func(_ core.Verdict, _ bool, err error) {
+					calls.Add(1)
+					done <- err
+				})
 				switch {
 				case err == nil:
-					if serveErr := <-done; serveErr != nil {
+					serveErr := <-done
+					if n := calls.Load(); n != 1 {
+						errs <- fmt.Errorf("done ran %d times", n)
+						return
+					}
+					outcome := "submitted"
+					switch {
+					case errors.Is(serveErr, ErrDeadlineExceeded):
+						outcome = "deadline"
+					case serveErr != nil:
 						errs <- serveErr
 						return
 					}
 					mu.Lock()
-					counts["submitted"]++
+					counts[outcome]++
 					mu.Unlock()
 				case errors.Is(err, ErrOverloaded):
+					if calls.Load() != 0 {
+						errs <- errors.New("shed request's done ran")
+						return
+					}
 					mu.Lock()
 					counts["shed"]++
 					mu.Unlock()
@@ -147,20 +176,32 @@ func TestPoolConcurrentHammer(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	total := counts["do"] + counts["submitted"] + counts["shed"]
+	served := counts["do"] + counts["submitted"]
+	total := served + counts["shed"] + counts["deadline"]
 	if total != workers*ops {
 		t.Fatalf("accounted %d ops (%v), want %d", total, counts, workers*ops)
 	}
 	if counts["do"] != workers*ops/2 {
 		t.Fatalf("Do path completed %d, want %d", counts["do"], workers*ops/2)
 	}
+	if counts["deadline"] == 0 {
+		t.Fatal("no submission expired: the hammer lost its deadline leg")
+	}
 	reg := pool.Metrics()
 	if depth, ok := reg.Value("queue_depth"); !ok || depth != 0 {
 		t.Fatalf("queue_depth after drain = %v", depth)
 	}
-	scans, _ := reg.Value("scans_total")
-	if int(scans) != counts["do"]+counts["submitted"] {
-		t.Fatalf("scans_total = %v, want %d", scans, counts["do"]+counts["submitted"])
+	value := func(name string) int {
+		v, _ := reg.Value(name)
+		return int(v)
+	}
+	if value("scans_total") != served || value("shed_total") != counts["shed"] ||
+		value("deadline_exceeded_total") != counts["deadline"] || value("scan_errors_total") != 0 {
+		t.Fatalf("scans_total=%d shed_total=%d deadline_exceeded_total=%d scan_errors_total=%d, callers saw %v",
+			value("scans_total"), value("shed_total"), value("deadline_exceeded_total"), value("scan_errors_total"), counts)
+	}
+	if hits, misses := value("cache_hits_total"), value("cache_misses_total"); hits+misses != served {
+		t.Fatalf("cache_hits_total %d + cache_misses_total %d != served %d", hits, misses, served)
 	}
 }
 

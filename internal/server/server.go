@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/content"
@@ -27,8 +28,12 @@ const (
 	// DefaultRequestTimeout bounds a request from arrival to verdict.
 	DefaultRequestTimeout = 10 * time.Second
 	// connOutDepth buffers per-connection responses between the workers
-	// and the connection's writer goroutine.
+	// and the connection's writer goroutine, and bounds the requests a
+	// connection has in flight.
 	connOutDepth = 64
+	// maxKeptReadBuf caps the request buffer a connection keeps for
+	// reuse; a larger frame's buffer is left to the collector.
+	maxKeptReadBuf = 64 << 10
 )
 
 // Config configures a Server.
@@ -243,18 +248,33 @@ func (s *Server) isDraining() bool {
 }
 
 // handleConn runs one connection: this goroutine reads frames and
-// submits jobs; a writer goroutine serializes responses. Workers hand
-// completed verdicts to the writer through out; dead tears the writer
-// down after it drains whatever is already queued.
+// submits jobs; a writer goroutine serializes the responses workers
+// produce. Workers hand completed verdicts to the writer through out;
+// dead tears the writer down after it drains whatever is already
+// queued. A request the pool answers inside Submit (a cache hit) is
+// written here, on the reader, straight to the shared buffered writer —
+// no hand-off to another goroutine.
+//
+// Every frame read holds a slot of w.slots until its response leaves
+// out (or, written here, until it is written), so out never holds more
+// frames than it has room for and a worker handing over a response
+// never waits on a slow peer. With every slot taken the reader stops
+// reading, and the peer's unread requests back up in TCP.
 func (s *Server) handleConn(conn net.Conn) {
 	out := make(chan []byte, connOutDepth)
 	dead := make(chan struct{})
 	writerDone := make(chan struct{})
+	w := &connOut{
+		conn:    conn,
+		bw:      bufio.NewWriterSize(conn, 64<<10),
+		timeout: s.cfg.WriteTimeout,
+		slots:   make(chan struct{}, connOutDepth),
+	}
 	var reqWG sync.WaitGroup
 
 	go func() {
 		defer close(writerDone)
-		s.connWriter(conn, out, dead)
+		w.run(out, dead)
 	}()
 
 	// respond hands one encoded frame to the writer unless the
@@ -271,24 +291,37 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	maxBody := uint32(headerLen + s.cfg.MaxPayload + maxFrameSlop)
+	// buf is the request buffer frames are read into. It is reused
+	// until a request that was queued takes it along; only then does
+	// the next frame get a fresh one.
+	var buf []byte
+reading:
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		typ, id, payload, err := readFrame(br, maxBody)
-		if errors.Is(err, errFrameTooLarge) {
-			// The oversized body was consumed; answer with the typed
-			// error and keep the connection.
-			respond(appendError(nil, id, CodeTooLarge,
-				fmt.Sprintf("payload exceeds maximum %d", s.cfg.MaxPayload)))
-			continue
+		if cap(buf) > maxKeptReadBuf {
+			buf = nil
 		}
-		if err != nil {
+		typ, id, payload, err := readFrameInto(br, maxBody, &buf)
+		if err != nil && !errors.Is(err, errFrameTooLarge) {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() && !s.isDraining() {
 				s.cfg.Logf("server: %s: idle timeout", conn.RemoteAddr())
 			}
 			break
+		}
+		select {
+		case w.slots <- struct{}{}:
+		case <-writerDone:
+			break reading
+		}
+		if err != nil {
+			// The oversized body was consumed; answer with the typed
+			// error and keep the connection.
+			respond(appendError(nil, id, CodeTooLarge,
+				fmt.Sprintf("payload exceeds maximum %d", s.cfg.MaxPayload)))
+			continue
 		}
 		if typ != MsgScan && typ != MsgScanTraced && typ != MsgScanContent && typ != MsgScanContentTraced {
 			s.badFrames.Inc()
@@ -329,26 +362,19 @@ func (s *Server) handleConn(conn net.Conn) {
 			deadline = time.Now().Add(s.cfg.RequestTimeout)
 		}
 		reqWG.Add(1)
-		reqID := id
-		reqTr := tr
+		// rs decides who writes the response: whichever of done and the
+		// code after Submit moves it off reqPending first. done wins only
+		// when it ran before Submit returned — on this goroutine for a
+		// cache hit, or on a worker that beat the reader — and then
+		// leaves the outcome for the reader to write directly.
+		rs := &reqState{id: id, content: isContent, tr: tr}
 		done := func(v core.Verdict, cached bool, scanErr error) {
-			defer reqWG.Done()
-			if scanErr != nil {
-				respond(appendError(nil, reqID, codeFor(scanErr), scanErr.Error()))
+			rs.v, rs.cached, rs.err = v, cached, scanErr
+			if rs.state.CompareAndSwap(reqPending, reqInline) {
 				return
 			}
-			// The pool finished the trace before invoking done, so the
-			// stage durations read here are final.
-			switch {
-			case isContent && reqTr != nil:
-				respond(appendVerdictContentTraced(nil, reqID, v, cached, reqTr))
-			case isContent:
-				respond(appendVerdictContent(nil, reqID, v, cached))
-			case reqTr != nil:
-				respond(appendVerdictTraced(nil, reqID, v, cached, reqTr))
-			default:
-				respond(appendVerdict(nil, reqID, v, cached))
-			}
+			respond(rs.appendResponse(nil))
+			reqWG.Done()
 		}
 		switch {
 		case isContent && tr != nil:
@@ -363,6 +389,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			reqWG.Done()
 			respond(appendError(nil, id, codeFor(err), err.Error()))
+			continue
+		}
+		if rs.state.CompareAndSwap(reqPending, reqQueued) {
+			// A worker owns payload now and will hand the response to
+			// the writer.
+			buf = nil
+			continue
+		}
+		// done has run, so nothing holds payload any more: buf is
+		// reused for the next frame.
+		reqWG.Done()
+		ok := w.send(rs)
+		<-w.slots
+		if !ok {
+			break // the peer is gone or stalled past the write timeout
 		}
 	}
 
@@ -374,51 +415,123 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn.Close()
 }
 
-// connWriter owns the write side of one connection. It batches
-// whatever responses are pending into one buffered flush. On dead it
-// drains the queue, flushes, and exits.
-func (s *Server) connWriter(conn net.Conn, out <-chan []byte, dead <-chan struct{}) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	write := func(frame []byte) bool {
-		if s.cfg.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		_, err := bw.Write(frame)
-		return err == nil
+// Request states in reqState: pending until either Submit returns with
+// the job queued (reqQueued) or done runs first (reqInline).
+const (
+	reqPending int32 = iota
+	reqQueued
+	reqInline
+)
+
+// reqState is one request's response hand-off on a connection.
+type reqState struct {
+	id      uint64
+	content bool
+	tr      *tracing.Trace
+	state   atomic.Int32
+	// The outcome done recorded. The reader reads it only after its
+	// compare-and-swap found reqInline.
+	v      core.Verdict
+	cached bool
+	err    error
+}
+
+// appendResponse appends the response frame for the recorded outcome.
+// The pool finished the trace before invoking done, so the stage
+// durations read here are final.
+func (r *reqState) appendResponse(dst []byte) []byte {
+	switch {
+	case r.err != nil:
+		return appendError(dst, r.id, codeFor(r.err), r.err.Error())
+	case r.content && r.tr != nil:
+		return appendVerdictContentTraced(dst, r.id, r.v, r.cached, r.tr)
+	case r.content:
+		return appendVerdictContent(dst, r.id, r.v, r.cached)
+	case r.tr != nil:
+		return appendVerdictTraced(dst, r.id, r.v, r.cached, r.tr)
+	default:
+		return appendVerdict(dst, r.id, r.v, r.cached)
 	}
-	flush := func() bool { return bw.Flush() == nil }
+}
+
+// connOut is a connection's buffered write side. The writer goroutine
+// and the reader (for responses produced inline) share it; mu
+// serializes their writes and flushes. slots holds one token per
+// request in flight on the connection (see handleConn); the writer
+// returns a frame's token as it takes the frame off the queue.
+type connOut struct {
+	mu      sync.Mutex
+	conn    net.Conn
+	bw      *bufio.Writer
+	timeout time.Duration
+	slots   chan struct{}
+}
+
+// write buffers one frame under the write deadline. The caller holds
+// mu.
+func (w *connOut) write(frame []byte) bool {
+	if w.timeout > 0 {
+		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	_, err := w.bw.Write(frame)
+	return err == nil
+}
+
+// send encodes r's response straight into the buffered writer's free
+// space and flushes it — the reader's direct path.
+func (w *connOut) send(r *reqState) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.write(r.appendResponse(w.bw.AvailableBuffer())) && w.bw.Flush() == nil
+}
+
+// run is the writer goroutine. It batches whatever responses are
+// pending into one buffered flush. On dead it drains the queue,
+// flushes, and exits; a write error ends it at once.
+func (w *connOut) run(out <-chan []byte, dead <-chan struct{}) {
 	for {
 		select {
 		case frame := <-out:
-			if !write(frame) {
-				return
-			}
-			// Opportunistically batch everything already queued.
-			for more := true; more; {
-				select {
-				case f := <-out:
-					if !write(f) {
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			if !flush() {
+			<-w.slots
+			if !w.batch(frame, out) {
 				return
 			}
 		case <-dead:
+			w.mu.Lock()
+			defer w.mu.Unlock()
 			for {
 				select {
 				case f := <-out:
-					if !write(f) {
+					<-w.slots
+					if !w.write(f) {
 						return
 					}
 				default:
-					flush()
+					_ = w.bw.Flush()
 					return
 				}
 			}
+		}
+	}
+}
+
+// batch writes frame plus everything already queued behind it, then
+// flushes, all under one hold of mu.
+func (w *connOut) batch(frame []byte, out <-chan []byte) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.write(frame) {
+		return false
+	}
+	for {
+		select {
+		case f := <-out:
+			<-w.slots
+			if !w.write(f) {
+				return false
+			}
+		default:
+			return w.bw.Flush() == nil
 		}
 	}
 }

@@ -45,17 +45,22 @@ func TestTracedScanEndToEnd(t *testing.T) {
 		t.Fatalf("network = %v, want >= 0", tr.Network)
 	}
 	// A cache-miss scan must time the queue wait, the cache probe, the
-	// threshold derivation, the decode, and the DP.
+	// threshold derivation, and the scan. The daemon runs the fused
+	// single pass, which decodes and runs the DP in one sweep: it is
+	// timed whole as the DP stage, and the decode stage stays unset.
 	for _, s := range []tracing.Stage{
 		tracing.StageQueueWait, tracing.StageCache, tracing.StageThreshold,
-		tracing.StageDecode, tracing.StageDP,
+		tracing.StageDP,
 	} {
 		if tr.Stages[s] < 0 {
 			t.Fatalf("stage %s not recorded", s)
 		}
 	}
-	if tr.Stages[tracing.StageDecode] == 0 && tr.Stages[tracing.StageDP] == 0 {
-		t.Fatal("decode and DP both zero — compute stages not timed")
+	if tr.Stages[tracing.StageDP] <= 0 {
+		t.Fatalf("DP stage = %v — the fused scan was not timed", tr.Stages[tracing.StageDP])
+	}
+	if tr.Stages[tracing.StageDecode] >= 0 {
+		t.Fatalf("decode stage = %v, want unset on the fused path", tr.Stages[tracing.StageDecode])
 	}
 
 	// The flight recorder holds the same trace under the same id.

@@ -129,6 +129,14 @@ var (
 // can answer it with a typed error instead of dropping the connection,
 // while a hostile peer still cannot balloon memory.
 func readFrame(r io.Reader, maxBody uint32) (typ byte, id uint64, payload []byte, err error) {
+	var buf []byte
+	return readFrameInto(r, maxBody, &buf)
+}
+
+// readFrameInto is readFrame reading the body into *buf, which is
+// replaced by a fresh slice when the body does not fit; the payload
+// aliases *buf.
+func readFrameInto(r io.Reader, maxBody uint32, buf *[]byte) (typ byte, id uint64, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, 0, nil, err
@@ -148,7 +156,10 @@ func readFrame(r io.Reader, maxBody uint32) (typ byte, id uint64, payload []byte
 		return hdr[0], binary.BigEndian.Uint64(hdr[1:9]), nil,
 			fmt.Errorf("%w: %d > %d", errFrameTooLarge, n, maxBody)
 	}
-	body := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if _, err = io.ReadFull(r, body); err != nil {
 		return 0, 0, nil, err
 	}

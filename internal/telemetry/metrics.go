@@ -8,7 +8,10 @@
 package telemetry
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -78,18 +81,57 @@ type Histogram struct {
 	bounds    []float64
 	counts    []atomic.Uint64 // len(bounds)+1, last is +Inf
 	count     atomic.Uint64
-	sum       atomic.Uint64              // float64 bits, CAS-accumulated
-	exemplars []atomic.Pointer[Exemplar] // len(bounds)+1, latest per bucket
+	sum       atomic.Uint64  // float64 bits, CAS-accumulated
+	exemplars []exemplarSlot // len(bounds)+1, latest per bucket
 }
 
-// Exemplar links a histogram bucket to one concrete observation — the
-// most recent traced value that landed there — so a latency spike in a
-// bucket can be chased to a flight-recorder entry by trace id.
-type Exemplar struct {
-	// TraceID is the hex trace id of the observation.
-	TraceID string `json:"trace_id"`
-	// Value is the observed value (same unit as the histogram).
-	Value float64 `json:"value"`
+// exemplarSlot links a histogram bucket to one concrete observation —
+// the most recent traced value that landed there — so a latency spike
+// in a bucket can be chased to a flight-recorder entry by trace id.
+// The id and value live in plain atomic words behind a sequence word
+// (a seqlock: odd while a writer is mid-update), so publishing an
+// exemplar allocates nothing; the id is hex-encoded only when a
+// snapshot renders it.
+type exemplarSlot struct {
+	seq atomic.Uint64
+	id  [2]atomic.Uint64
+	val atomic.Uint64 // float64 bits
+}
+
+// store publishes (id, v). A writer that finds the slot mid-update
+// leaves it to the writer holding it: both observations are equally
+// recent, and the exemplar is a sample, not a log.
+func (e *exemplarSlot) store(id [16]byte, v float64) {
+	s := e.seq.Load()
+	if s&1 != 0 || !e.seq.CompareAndSwap(s, s+1) {
+		return
+	}
+	e.id[0].Store(binary.BigEndian.Uint64(id[:8]))
+	e.id[1].Store(binary.BigEndian.Uint64(id[8:]))
+	e.val.Store(math.Float64bits(v))
+	e.seq.Store(s + 2)
+}
+
+// load returns a consistent copy of the slot; ok is false while the
+// slot has never been written. A read that overlaps a write retries.
+func (e *exemplarSlot) load() (id [16]byte, v float64, ok bool) {
+	for {
+		s := e.seq.Load()
+		if s == 0 {
+			return id, 0, false
+		}
+		if s&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		hi, lo, bits := e.id[0].Load(), e.id[1].Load(), e.val.Load()
+		if e.seq.Load() != s {
+			continue
+		}
+		binary.BigEndian.PutUint64(id[:8], hi)
+		binary.BigEndian.PutUint64(id[8:], lo)
+		return id, math.Float64frombits(bits), true
+	}
 }
 
 // NewHistogram builds a histogram over the given ascending upper
@@ -105,33 +147,30 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    bounds,
 		counts:    make([]atomic.Uint64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]exemplarSlot, len(bounds)+1),
 	}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// Binary search for the first bound >= v.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.observeAt(sort.SearchFloat64s(h.bounds, v), v)
 }
 
 // ObserveExemplar records one value and attaches traceID as the
-// bucket's exemplar, replacing any previous one. The exemplar is a
-// single atomic pointer publish on top of Observe's cost.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+// bucket's exemplar, replacing any previous one; a zero id attaches
+// none. The exemplar costs a few atomic stores on top of Observe and
+// allocates nothing.
+func (h *Histogram) ObserveExemplar(v float64, traceID [16]byte) {
 	i := sort.SearchFloat64s(h.bounds, v)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+	if traceID != ([16]byte{}) {
+		h.exemplars[i].store(traceID, v)
 	}
+	h.observeAt(i, v)
+}
+
+// observeAt counts v into bucket i and the running sum.
+func (h *Histogram) observeAt(i int, v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -163,8 +202,8 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	for i := range h.exemplars {
-		ex := h.exemplars[i].Load()
-		if ex == nil {
+		id, v, ok := h.exemplars[i].load()
+		if !ok {
 			continue
 		}
 		le := "+Inf"
@@ -172,7 +211,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
 		}
 		s.Exemplars = append(s.Exemplars, BucketExemplar{
-			LE: le, TraceID: ex.TraceID, Value: ex.Value,
+			LE: le, TraceID: hex.EncodeToString(id[:]), Value: v,
 		})
 	}
 	return s

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -116,35 +119,108 @@ func TestInfoMetric(t *testing.T) {
 	}
 }
 
+// exemplarID is a trace id of sixteen copies of b: it renders as 32
+// hex digits of b's two nibbles.
+func exemplarID(b byte) [16]byte {
+	var id [16]byte
+	for i := range id {
+		id[i] = b
+	}
+	return id
+}
+
 func TestHistogramExemplars(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
-	h.ObserveExemplar(0.5, "aaaa")
-	h.ObserveExemplar(0.7, "bbbb") // replaces aaaa in the first bucket
-	h.ObserveExemplar(9.0, "cccc") // overflow bucket
-	h.Observe(1.5)                 // untraced: no exemplar
+	h.ObserveExemplar(0.5, exemplarID(0xaa))
+	h.ObserveExemplar(0.7, exemplarID(0xbb)) // replaces aa.. in the first bucket
+	h.ObserveExemplar(9.0, exemplarID(0xcc)) // overflow bucket
+	h.ObserveExemplar(1.5, [16]byte{})       // zero id: counted, no exemplar
+	h.Observe(1.5)                           // untraced: no exemplar
 	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count = %d, want 4", s.Count)
+	if s.Count != 5 {
+		t.Fatalf("count = %d, want 5", s.Count)
 	}
 	if len(s.Exemplars) != 2 {
 		t.Fatalf("exemplars = %+v, want 2 buckets", s.Exemplars)
 	}
-	if s.Exemplars[0].LE != "1" || s.Exemplars[0].TraceID != "bbbb" || s.Exemplars[0].Value != 0.7 {
+	if s.Exemplars[0].LE != "1" || s.Exemplars[0].TraceID != strings.Repeat("bb", 16) || s.Exemplars[0].Value != 0.7 {
 		t.Fatalf("first exemplar = %+v", s.Exemplars[0])
 	}
-	if s.Exemplars[1].LE != "+Inf" || s.Exemplars[1].TraceID != "cccc" {
+	if s.Exemplars[1].LE != "+Inf" || s.Exemplars[1].TraceID != strings.Repeat("cc", 16) {
 		t.Fatalf("overflow exemplar = %+v", s.Exemplars[1])
 	}
 	// Exemplars ride the JSON snapshot but stay out of the text format.
 	r := NewRegistry()
 	rh := r.Histogram("lat", "", []float64{1, 2})
-	rh.ObserveExemplar(0.5, "dddd")
+	rh.ObserveExemplar(0.5, exemplarID(0xdd))
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "dddd") {
 		t.Fatal("exemplar leaked into text exposition")
+	}
+}
+
+// TestHistogramExemplarsAllocFree: attaching an exemplar allocates
+// nothing; only rendering a snapshot hex-encodes it.
+func TestHistogramExemplarsAllocFree(t *testing.T) {
+	h := NewHistogram(nil)
+	id := exemplarID(0x5a)
+	if n := testing.AllocsPerRun(100, func() { h.ObserveExemplar(3e-4, id) }); n != 0 {
+		t.Fatalf("ObserveExemplar allocs/op = %v, want 0", n)
+	}
+}
+
+// TestHistogramExemplarsConcurrent: writers racing on one bucket never
+// leave a torn exemplar — every snapshot pairs an id with the value
+// observed under it.
+func TestHistogramExemplarsConcurrent(t *testing.T) {
+	h := NewHistogram([]float64{1})
+	const writers, ops = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				b := byte(1 + (w*ops+i)%255)
+				h.ObserveExemplar(float64(b)/1000, exemplarID(b))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	readErr := make(chan string, 1)
+	go func() {
+		defer close(readErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, ex := range h.Snapshot().Exemplars {
+				id, err := hex.DecodeString(ex.TraceID)
+				if err != nil || len(id) != 16 {
+					readErr <- "undecodable exemplar id " + ex.TraceID
+					return
+				}
+				for _, c := range id {
+					if c != id[0] || float64(c)/1000 != ex.Value {
+						readErr <- fmt.Sprintf("torn exemplar %+v", ex)
+						return
+					}
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if msg, ok := <-readErr; ok {
+		t.Fatal(msg)
+	}
+	if got := h.Count(); got != writers*ops {
+		t.Fatalf("count = %d, want %d", got, writers*ops)
 	}
 }
 

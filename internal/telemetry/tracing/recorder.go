@@ -131,9 +131,14 @@ func (r *Recorder) Record(t *Trace) {
 	}
 	r.recorded.Add(1)
 	// The id's low half is a process-local counter (or the client's),
-	// so consecutive requests stripe across shards.
-	shard := uint64(t.ID[IDLen-1]) | uint64(t.ID[IDLen-2])<<8
-	r.shards[shard&r.shardMask].put(t)
+	// so consecutive requests stripe across shards. A client chooses its
+	// own id, so the shard index is checked against the shard count
+	// here rather than trusted to the mask alone.
+	shard := (uint64(t.ID[IDLen-1]) | uint64(t.ID[IDLen-2])<<8) & r.shardMask
+	if shard >= uint64(len(r.shards)) {
+		shard = 0
+	}
+	r.shards[shard].put(t)
 	if t.total >= r.threshold {
 		r.slowCount.Add(1)
 		r.slow.put(t)

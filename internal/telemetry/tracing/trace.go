@@ -30,19 +30,24 @@ type Stage uint8
 
 // Pipeline stages.
 const (
-	// StageQueueWait spans submission to worker pickup in the scan pool.
+	// StageQueueWait spans a cache miss's wait in the scan pool's
+	// queue, from enqueue to worker pickup. Cache hits are answered at
+	// submission and never open it.
 	StageQueueWait Stage = iota
 	// StageCache spans the content-hash computation and verdict-cache
-	// lookup.
+	// lookup, done at submission.
 	StageCache
 	// StageThreshold spans model-parameter estimation and τ derivation
 	// (the text-only classification rides in this window too).
 	StageThreshold
-	// StageDecode spans the engine's decode pass: every offset reduced
-	// to its successor or path record.
+	// StageDecode spans the engine's separate decode pass — every
+	// offset reduced to its packed record — which only all-paths mode
+	// runs. The sequential modes fuse decode into the DP pass and
+	// leave this stage unset.
 	StageDecode
-	// StageDP spans the engine's dynamic program over the records — the
-	// pseudo-execution itself.
+	// StageDP spans the engine's dynamic program — the
+	// pseudo-execution itself. On the fused path (the sequential
+	// modes) it spans decode and DP together.
 	StageDP
 	// StageTriage spans the content pipeline's entropy/byte-class
 	// pre-filter. Appended after the original five so existing wire
