@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict verify verify-quick ci bench bench-engine bench-smoke bench-guard serve-bench fuzz report cover clean
+.PHONY: all build test vet lint lint-strict verify verify-quick ci bench bench-engine bench-smoke bench-guard race fuzz report cover clean
 
 all: build vet test
 
@@ -94,9 +94,6 @@ bench:
 
 bench-engine:
 	$(GO) run ./cmd/melbench -exp engine
-
-serve-bench:
-	$(GO) run ./cmd/melbench -exp serve
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/x86/

@@ -23,7 +23,6 @@
 //	melbench -exp exploit  end-to-end exploit chain vs the vulnerable service
 //	melbench -exp engine   scan-engine throughput; writes BENCH_engine.json
 //	melbench -exp guard    engine+content bench vs committed artifacts; fails on regression
-//	melbench -exp serve    scan-daemon wire throughput; writes BENCH_serve.json
 //	melbench -exp content  content pipeline triage/decode bench; writes BENCH_content.json
 package main
 
@@ -52,7 +51,6 @@ func run(args []string, w io.Writer) error {
 	worms := fs.Int("worms", experiments.DefaultWorms, "text worms for detection experiments")
 	benchOut := fs.String("benchout", "BENCH_engine.json", "engine benchmark artifact path (empty to skip the file)")
 	guardBase := fs.String("guardbase", "BENCH_engine.json", "committed artifact the guard experiment compares against")
-	serveOut := fs.String("serveout", "BENCH_serve.json", "serve benchmark artifact path (empty to skip the file)")
 	contentOut := fs.String("contentout", "BENCH_content.json", "content benchmark artifact path (empty to skip the file)")
 	guardContent := fs.String("guardcontent", "BENCH_content.json", "committed content artifact the guard compares against (empty to skip)")
 	if err := fs.Parse(args); err != nil {
@@ -144,10 +142,6 @@ func run(args []string, w io.Writer) error {
 			}
 			return experiments.ContentGuard(w, *guardContent, *seed)
 		},
-		"serve": func() error {
-			_, err := experiments.ServeBench(w, *serveOut, *seed)
-			return err
-		},
 		"content": func() error {
 			_, err := experiments.ContentBench(w, *contentOut, *seed)
 			return err
@@ -157,7 +151,7 @@ func run(args []string, w io.Writer) error {
 
 	if *exp == "all" {
 		order := []string{"fig1n", "fig1p", "chisq", "approx", "fig2", "params",
-			"fig3", "av", "binary", "ape", "xor", "payl", "rules", "alpha", "styles", "sizes", "exploit", "engine", "serve", "content"}
+			"fig3", "av", "binary", "ape", "xor", "payl", "rules", "alpha", "styles", "sizes", "exploit", "engine", "content"}
 		for _, id := range order {
 			if err := runners[id](); err != nil {
 				return fmt.Errorf("%s: %w", id, err)

@@ -12,14 +12,16 @@ import (
 	"repro/internal/x86"
 )
 
-// The optimized engine (flat memoization, decode-once records, linear
-// chain walks) must return results byte-identical to the retained
+// The optimized engine (flat memoization, packed records, the fused
+// pass and its chain walk) must return results byte-identical to the retained
 // reference implementation in reference.go — not merely the same MEL,
 // but the same BestStart and States, which pin down traversal order.
 
-// diffRules enumerates the rule sets the engines must agree under,
-// covering every dispatch path in Scan: the untracked sequential DP,
-// the tracked sequential chain walk, and the recursive explorer.
+// diffRules enumerates the rule sets the engines must agree under. Each
+// rule set runs all three walkers of the scan core: the fused pass and
+// its chain walk in sequential mode (the walk on divergent register
+// masks, which only the tracked sets produce, and after a back edge),
+// and the memoized DFS in all-paths mode.
 func diffRules() map[string]Rules {
 	return map[string]Rules{
 		"dawn":          DAWN(),

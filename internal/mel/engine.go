@@ -243,32 +243,21 @@ func transitionOf(inst *x86.Inst) (uint8, uint8) {
 	return transNone, 0
 }
 
-// Decode-cache cell states.
-const (
-	decodeUnknown uint8 = iota
-	decodeOK
-	decodeFailed
-)
-
 // scanState is the exploration state for one scan. All of it is flat,
 // preallocated, and recycled through statePool, so steady-state scans
-// allocate nothing: instructions are decoded at most once per offset
-// into insts, and memoization uses per-mask []int32 tables instead of
-// maps.
+// allocate nothing: every offset is reduced once to a packed record in
+// recs, and memoization uses per-mask []int32 tables instead of maps.
 type scanState struct {
 	e    *Engine
 	code []byte
 
-	// Decode-once cache for the single-offset scan path (ScanFrom, the
-	// per-scan trace dump).
-	insts   []x86.Inst
-	decoded []uint8
-
-	// Packed per-offset records (records.go), shared by every full-scan
-	// mode and carried across windows by WindowScanner. backEdges counts
-	// records whose unconditional transfer targets at or before their own
-	// offset; zero means sequential chains are strictly forward and the
-	// suffix-run sweep applies.
+	// Packed per-offset records (records.go), shared by every scan path
+	// and carried across windows by WindowScanner. The full scans build
+	// every record; ScanFrom and Trace start from zeroed records and
+	// decode only the offsets their walk reaches (no packed record is
+	// zero). backEdges counts records whose unconditional transfer
+	// targets at or before their own offset; the fused pass sets it, and
+	// melverify checks it against a direct tally.
 	recs      []uint64
 	backEdges int
 
@@ -278,8 +267,8 @@ type scanState struct {
 	// spanHi (exclusive) bound the cells of each table that may hold
 	// stale nonzero values from earlier scans: tableSparse clears only
 	// that span on acquire instead of the whole table, and every write
-	// path either widens the span precisely (the memoized DFS) or
-	// stamps it full (table, covering the direct-writing chain walks).
+	// path either widens the span precisely (noteWrite) or stamps it
+	// full (table, covering the fused pass's direct writes).
 	tables [256][]int32
 	live   [256]bool
 	used   [256]uint8
@@ -287,9 +276,7 @@ type scanState struct {
 	spanLo [256]int32
 	spanHi [256]int32
 
-	stack []int32
-	// maskStack holds (offset<<8 | mask) frames for the iterative
-	// tracked-sequential walk.
+	// maskStack holds the (offset<<8 | mask) frames of chainWalk.
 	maskStack []uint64
 	states    int
 }
@@ -323,17 +310,13 @@ func (s *scanState) resetScan(code []byte) {
 	s.states = 0
 }
 
-// table returns the memo table for mask, sized for the current stream.
-// zero controls whether a first acquire within a scan clears the table:
-// the memoized DFS needs zeroed cells to mean "unexplored", but the
-// suffix sweeps deterministically write every cell before reading it
-// and pass false to skip the clear. Either way the table is marked
-// live, so a later acquire in the same scan never wipes earlier values.
-// Callers of table may write cells directly without span bookkeeping,
-// so the dirty span is stamped full on every call — including the live
-// fast path, which a direct-writing walk can reach on a table first
-// acquired through tableSparse.
-func (s *scanState) table(mask regMask, zero bool) []int32 {
+// table returns the memo table for mask, sized for the current stream,
+// for the fused pass, which writes every cell before reading it: a
+// first acquire within a scan skips the clear. The table is marked
+// live, so a later acquire in the same scan never wipes earlier values,
+// and since the pass writes cells without span bookkeeping, the dirty
+// span is stamped full.
+func (s *scanState) table(mask regMask) []int32 {
 	n := len(s.code)
 	s.spanLo[mask] = 0
 	if hi := int32(n); hi > s.spanHi[mask] {
@@ -348,9 +331,6 @@ func (s *scanState) table(mask regMask, zero bool) []int32 {
 		s.spanHi[mask] = int32(n)
 	} else {
 		t = t[:n]
-		if zero {
-			clear(t)
-		}
 	}
 	s.tables[mask] = t
 	s.live[mask] = true
@@ -359,14 +339,14 @@ func (s *scanState) table(mask regMask, zero bool) []int32 {
 	return t
 }
 
-// tableSparse is table for the memoized-DFS acquires, where writes land
-// on the sparse chain the DFS actually walks rather than across the
-// whole stream. Instead of zeroing the table it clears only the span
-// dirtied by earlier scans and resets the span to empty; longestRecT
-// then widens it around each cell it writes. For the divergent-mask
-// tables of the tracked sweeps — touched on a handful of chains per
-// scan — this replaces a full-stream memclr per mask with a few
-// hundred bytes.
+// tableSparse is table for the walks that need zeroed cells to mean
+// "unexplored" — the memoized DFS and the chain walk, whose writes land
+// on the chains they follow. Instead of zeroing the whole table it
+// clears only the span dirtied by earlier scans and resets the span to
+// empty; every write then widens it through noteWrite. For the
+// divergent-mask tables of the tracked fused pass — touched on a
+// handful of chains per scan — this replaces a full-stream memclr per
+// mask with a few hundred bytes.
 func (s *scanState) tableSparse(mask regMask) []int32 {
 	if s.live[mask] {
 		return s.tables[mask]
@@ -393,9 +373,9 @@ func (s *scanState) tableSparse(mask regMask) []int32 {
 	return t
 }
 
-// noteWrite widens mask's dirty span around a cell the DFS is about to
-// write. Only the first write at an offset needs it (memoInProgress and
-// the final value land on the same cell).
+// noteWrite widens mask's dirty span around a cell about to be written.
+// Only the first write at an offset needs it (memoInProgress and the
+// final value land on the same cell).
 func (s *scanState) noteWrite(mask regMask, off int) {
 	if o := int32(off); o < s.spanLo[mask] {
 		s.spanLo[mask] = o
@@ -405,39 +385,13 @@ func (s *scanState) noteWrite(mask regMask, off int) {
 	}
 }
 
-// ensureDecodeCache sizes and resets the per-offset decode cache. The
-// exploring scan modes call it once per scan; the sequential DP never
-// needs it (it reduces each offset to a successor record instead).
-func (s *scanState) ensureDecodeCache() {
-	n := len(s.code)
-	if cap(s.insts) < n {
-		s.insts = make([]x86.Inst, n)
-	} else {
-		s.insts = s.insts[:n]
+// startMask is the register state every path starts from: only ESP
+// defined under register tracking, everything defined otherwise.
+func (e *Engine) startMask() regMask {
+	if e.rules.TrackRegisterInit {
+		return initialMask
 	}
-	if cap(s.decoded) < n {
-		s.decoded = make([]uint8, n)
-	} else {
-		s.decoded = s.decoded[:n]
-		clear(s.decoded)
-	}
-}
-
-// inst returns the decoded instruction at off, decoding it on first
-// request only. A nil return means the stream truncates the instruction.
-func (s *scanState) inst(off int) *x86.Inst {
-	switch s.decoded[off] {
-	case decodeOK:
-		return &s.insts[off]
-	case decodeFailed:
-		return nil
-	}
-	if x86.DecodeInto(&s.insts[off], s.code, off) != nil {
-		s.decoded[off] = decodeFailed
-		return nil
-	}
-	s.decoded[off] = decodeOK
-	return &s.insts[off]
+	return 0xFF
 }
 
 // Scan pseudo-executes every possible execution path in the stream —
@@ -475,16 +429,13 @@ func (e *Engine) ScanTraced(stream []byte, tr *tracing.Trace) (Result, error) {
 // scanTraced runs the scan over s.code, whose records below from are
 // already in place (the window carry; the caller guarantees they hold
 // no back edges), timing it onto tr. Sequential modes take the fused
-// single pass, falling back to the chain walk over the then fully built
-// records when a backward transfer voids the suffix order.
+// single pass; all-paths mode builds the records, then explores them.
 //
 //mel:hotpath
 func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int) {
-	e := s.e
-	if e.mode == ModeAllPaths {
-		s.backEdges = 0 // buildRecords counts only the offsets it decodes
+	if s.e.mode == ModeAllPaths {
 		tr.StageStart(tracing.StageDecode)
-		s.buildRecords(from)
+		s.backEdges = s.buildRecords(from, len(s.code))
 		tr.StageEnd(tracing.StageDecode)
 		tr.StageStart(tracing.StageDP)
 		best, bestStart = s.run()
@@ -492,14 +443,7 @@ func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int
 		return best, bestStart
 	}
 	tr.StageStart(tracing.StageDP)
-	best, bestStart, ok := s.scanFused(from)
-	if !ok {
-		if e.rules.TrackRegisterInit {
-			best, bestStart = s.scanSequentialTracked()
-		} else {
-			best, bestStart = s.scanSequential()
-		}
-	}
+	best, bestStart = s.scanFused(from)
 	tr.StageEnd(tracing.StageDP)
 	return best, bestStart
 }
@@ -510,12 +454,8 @@ func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int
 //
 //mel:hotpath
 func (s *scanState) run() (best, bestStart int) {
-	e := s.e
-	mask := regMask(0xFF)
-	if e.rules.TrackRegisterInit {
-		mask = initialMask
-	}
-	t := s.table(mask, true)
+	mask := s.e.startMask()
+	t := s.tableSparse(mask)
 	for off := 0; off < len(s.code); off++ {
 		if l := s.longestRecT(off, mask, t); l > best {
 			best = l
@@ -525,13 +465,11 @@ func (s *scanState) run() (best, bestStart int) {
 	return best, bestStart
 }
 
-// longestRec is longest over the packed records — the hot form used by
-// the all-paths full scan, where every offset is explored anyway.
+// longestRec is the memoized DFS from a single state — the entry of
+// ScanFrom and of Trace's arm choice, over records decoded on demand.
+// Leaving the stream ends the path.
 func (s *scanState) longestRec(off int, mask regMask) int {
-	if uint(off) >= uint(len(s.code)) {
-		return 0 // continuation left the stream
-	}
-	return s.longestRecT(off, mask, s.table(mask, true))
+	return s.extRec(off, mask, s.tableSparse(mask))
 }
 
 // extRec is the recursion step of longestRecT: bounds check, then the
@@ -543,9 +481,14 @@ func (s *scanState) extRec(off int, mask regMask, t []int32) int {
 	return s.longestRecT(off, mask, t)
 }
 
-// longestRecT is longestRec with mask's memo table threaded through the
-// recursion: continuations that keep the register mask — the common
-// case — stay on t without re-resolving it through the table map.
+// longestRecT returns the longest valid run starting at off with the
+// given abstract register state — the memoized DFS of the reference
+// engine over packed records, with mask's memo table threaded through
+// the recursion: continuations that keep the register mask — the common
+// case — stay on t without re-resolving it. Cycles are cut: re-entering
+// a state on the current DFS stack contributes 0 further instructions,
+// which makes the result the longest acyclic valid path (each static
+// instruction counted once). A zero record is decoded here first.
 func (s *scanState) longestRecT(off int, mask regMask, t []int32) int {
 	switch v := t[off]; {
 	case v > 0:
@@ -554,14 +497,16 @@ func (s *scanState) longestRecT(off int, mask regMask, t []int32) int {
 		return 0 // cycle
 	}
 	r := s.recs[off]
+	if r == 0 {
+		r = s.lazyRec(off)
+	}
 	kind := uint8(r>>recKindShift) & 7
+	s.noteWrite(mask, off)
 	if kind == ctrlInvalid || regMask(uint8(r>>recNeedShift))&^mask != 0 {
-		s.noteWrite(mask, off)
 		t[off] = 1
 		s.states++
 		return 0
 	}
-	s.noteWrite(mask, off)
 	t[off] = memoInProgress
 
 	nextMask := mask
@@ -600,36 +545,41 @@ func (s *scanState) longestRecT(off int, mask regMask, t []int32) int {
 	return 1 + ext
 }
 
-// chainRecT resolves the memo value of state (off, mask) for the
-// tracked sweeps, which only run when the stream has no backward
-// transfers and control flow is sequential. Each state then has exactly
-// one successor lying strictly ahead, so longestRecT's DFS degenerates
-// to an acyclic chain: walk it iteratively, pushing (offset, mask)
-// frames until a memoized or terminal state, then unwind in reverse
-// assigning values. Memo writes and state counts are exactly the
-// recursion's — one final write per state, no in-progress marking
-// needed (no cycles can form). Returns t[off]'s resolved value; the
-// caller has established t[off] == 0.
+// chainWalk resolves the memo value of state (off, mask), whose table
+// is t, in sequential mode, where every state has exactly one
+// successor. The reference DFS then degenerates to a chain: walk it
+// iteratively, marking each state in progress and pushing an (offset,
+// mask) frame, until a memoized, terminal, or in-progress state (a
+// cycle, cut to 0 exactly as the DFS cuts it); then unwind in reverse,
+// each frame extending its successor's run by one. Memo writes, cycle
+// cuts and state counts are exactly the recursion's. Returns t[off]'s
+// resolved value; the caller has established t[off] == 0, so an empty
+// stack means the entry itself was invalid.
 //
 //mel:hotpath
-func (s *scanState) chainRecT(off int, mask regMask, t []int32) int32 {
+func (s *scanState) chainWalk(off int, mask regMask, t []int32) int32 {
 	n := len(s.code)
 	recs := s.recs
-	stack := s.maskStack[:cap(s.maskStack)]
-	sp := 0
+	stack := s.maskStack[:0]
 	states := s.states
 	var ext int32
 	for {
+		if m := t[off]; m != 0 {
+			if m > 0 {
+				ext = m - 1
+			} // else memoInProgress: a cycle contributes 0
+			break
+		}
 		r := recs[off]
 		kind := uint8(r>>recKindShift) & 7
+		s.noteWrite(mask, off)
 		if kind == ctrlInvalid || regMask(uint8(r>>recNeedShift))&^mask != 0 {
-			s.noteWrite(mask, off)
 			t[off] = 1
 			states++
 			break
 		}
-		stack[sp] = uint64(off)<<8 | uint64(mask)
-		sp++
+		t[off] = memoInProgress
+		stack = append(stack, uint64(off)<<8|uint64(mask))
 		if kind == ctrlEnd {
 			break
 		}
@@ -646,40 +596,31 @@ func (s *scanState) chainRecT(off int, mask regMask, t []int32) int32 {
 				t = s.tableSparse(mask)
 			}
 		}
-		if m := t[next]; m > 0 {
-			ext = m - 1
-			break
-		}
 		off = next
 	}
-	if sp == 0 {
-		// The entry state itself was invalid; its memo value is 1.
-		s.states = states
-		return 1
-	}
-	// Unwind: each pushed state extends its successor's run by one.
 	// Consecutive frames usually share a mask; refetch only on change.
 	ut, utMask := t, mask
-	var top int32
-	for i := sp - 1; i >= 0; i-- {
+	for i := len(stack) - 1; i >= 0; i-- {
 		fr := stack[i]
 		if m := regMask(fr); m != utMask {
 			utMask = m
 			ut = s.tableSparse(m)
 		}
 		ext++
-		top = ext + 1
-		s.noteWrite(utMask, int(fr>>8))
-		ut[fr>>8] = top
+		ut[fr>>8] = ext + 1
 		states++
 	}
+	if cap(stack) > cap(s.maskStack) {
+		s.maskStack = stack // grown by a cyclic tracked chain; keep it
+	}
 	s.states = states
-	return top
+	return ext + 1 // the entry state's memo value
 }
 
 // ScanFrom pseudo-executes from a single start offset only — the shape
 // APE's random-position sampling needs — and returns the longest valid
-// run beginning there.
+// run beginning there. Records are decoded on demand, so a call pays one
+// record-array clear plus the states its path explores.
 func (e *Engine) ScanFrom(stream []byte, off int) (int, error) {
 	if len(stream) == 0 {
 		return 0, ErrEmptyStream
@@ -692,149 +633,46 @@ func (e *Engine) ScanFrom(stream []byte, off int) (int, error) {
 	}
 	s := acquireState(e, stream)
 	defer releaseState(s)
-	s.ensureDecodeCache()
-	mask := regMask(0xFF)
-	if e.rules.TrackRegisterInit {
-		mask = initialMask
-	}
-	return s.longest(off, mask), nil
+	s.ensureRecs()
+	clear(s.recs)
+	return s.longestRec(off, e.startMask()), nil
 }
 
-// longest returns the longest valid run starting at off with the given
-// abstract register state — the memoized DFS of the reference engine,
-// over the decode-once cache and flat per-mask tables. Cycles are cut:
-// re-entering a state that is on the current DFS stack contributes 0
-// further instructions, which makes the result the longest acyclic valid
-// path (each static instruction counted once).
-func (s *scanState) longest(off int, mask regMask) int {
-	if off < 0 || off >= len(s.code) {
-		return 0
-	}
-	t := s.table(mask, true)
-	switch v := t[off]; {
-	case v > 0:
-		return int(v) - 1
-	case v == memoInProgress:
-		return 0 // cycle
-	}
-	inst := s.inst(off)
-	if inst == nil || s.e.rules.Invalid(inst, mask) {
-		t[off] = 1
-		s.states++
-		return 0
-	}
-	t[off] = memoInProgress
-
-	nextMask := mask
-	if s.e.rules.TrackRegisterInit {
-		nextMask = apply(inst, mask)
-	}
-	next := off + inst.Len
-
-	var ext int
-	switch {
-	case inst.Flags&(x86.FlagRet|x86.FlagIndirect|x86.FlagFar|x86.FlagInt) != 0:
-		// Path ends: the continuation address is not statically known (or
-		// the instruction transfers out of the stream entirely).
-		ext = 0
-	case inst.Flags.Has(x86.FlagCondBranch):
-		if s.e.mode == ModeAllPaths {
-			fall := s.longest(next, nextMask)
-			taken := s.longest(inst.RelTarget, nextMask)
-			if taken > fall {
-				ext = taken
-			} else {
-				ext = fall
-			}
-		} else {
-			// Sequential mode: a conditional branch is just another valid
-			// instruction on the linear path.
-			ext = s.longest(next, nextMask)
-		}
-	case inst.Flags.Has(x86.FlagUncondJump):
-		ext = s.longest(inst.RelTarget, nextMask)
-	case inst.Flags.Has(x86.FlagCall):
-		// Near relative call: execution continues at the target.
-		ext = s.longest(inst.RelTarget, nextMask)
-	default:
-		ext = s.longest(next, nextMask)
-	}
-
-	t[off] = int32(2 + ext)
-	s.states++
-	return 1 + ext
-}
-
-// scanFused is the anchored single-pass scan core: decode and the
-// suffix-run DP run as ONE backward pass over the stream. The DP at an
-// offset only consults records and memo cells strictly ahead of it,
-// which the backward order has already produced, so no intermediate
-// full-stream decode pass is needed. Offsets below from reuse their
-// carried records (the stream-carry path; the caller guarantees the
-// carried region has no back edges). If a backward transfer is
-// discovered mid-pass the DP half is abandoned: decode completes for
-// the remaining offsets, the memo prefix the DP never wrote is
-// re-zeroed, and ok=false tells the caller to run the chain-walk
-// fallback over the fully built records. Memo contents and state
-// counts are identical to the chain walk's in every case (each offset
-// is written exactly once in both), so results stay byte-identical to
-// ScanReference.
+// scanFused is the anchored single-pass scan core of the sequential
+// modes: decode and the suffix-run DP run as ONE backward pass over the
+// stream. The DP at an offset only consults records and memo cells
+// strictly ahead of it, which the backward order has already produced,
+// so no intermediate full-stream decode pass is needed. Offsets below
+// from reuse their carried records (the stream-carry path; the caller
+// guarantees the carried region has no back edges).
+//
+// The start-mask table is filled backward; when an instruction's
+// register transition diverges from the start mask (register tracking
+// only — untracked records carry no transition and no required
+// registers), the successor state lives in another table and is
+// resolved through chainWalk, whose forward-only exploration never
+// outruns the already-decoded suffix. Divergence is rare on text, so
+// the sweep stays linear.
+//
+// If a backward transfer is discovered mid-pass the suffix order is
+// void: decode completes for the remaining offsets, the memo prefix the
+// DP never wrote is re-zeroed, and every start offset is resolved
+// through chainWalk, which cuts cycles as the reference DFS does. The
+// suffix memo above the back edge stays (its chains are forward-only),
+// and every state is written exactly once either way, so results stay
+// byte-identical to ScanReference, state counts included.
 //
 //mel:hotpath
-func (s *scanState) scanFused(from int) (best, bestStart int, ok bool) {
-	if s.e.rules.TrackRegisterInit {
-		return s.scanFusedTracked(from)
-	}
-	return s.scanFusedSeq(from)
-}
-
-// finishDecode completes the decode half after the fused DP aborted on
-// a back edge at offset off (whose record is r): r is stored, the
-// offsets [from, off) are decoded backward (so segDerive applies), and
-// s.backEdges is re-established over the whole record array.
-func (s *scanState) finishDecode(r uint64, off, from int) {
+func (s *scanState) scanFused(from int) (best, bestStart int) {
 	code := s.code
 	n := len(code)
 	e := s.e
 	recs := s.recs
-	recs[off] = r
-	for o := off - 1; o >= from; o-- {
-		b := code[o]
-		if q := e.quick1[b]; q != 0 {
-			recs[o], _ = patchQuick(q, code, o, n)
-			continue
-		}
-		if sp := segPrefixByte[b]; sp != 0 {
-			if dr, ok := segDerive(recs[o+1], sp, &e.wrongSeg); ok {
-				recs[o] = dr
-				continue
-			}
-		}
-		if q := uint64(e.quick2[b][code[o+1]]); q != 0 {
-			if q&quickSIB != 0 {
-				recs[o] = expandSIB(q, code, o, n)
-				continue
-			}
-			recs[o], _ = patchQuick(q, code, o, n)
-			continue
-		}
-		recs[o] = s.decodeSlow(o)
-	}
-	s.backEdges = countBackEdges(recs[:n])
-}
-
-// scanFusedSeq is scanFused without register tracking.
-//
-//mel:hotpath
-func (s *scanState) scanFusedSeq(from int) (best, bestStart int, ok bool) {
-	code := s.code
-	n := len(code)
-	if n == 0 {
-		return 0, 0, true
-	}
-	e := s.e
-	recs := s.recs
-	memo := s.table(0xFF, false)[:n]
+	m0 := e.startMask()
+	t0 := s.table(m0)[:n]
+	// A record is invalid under m0 when it needs a register m0 leaves
+	// undefined — never without tracking, where m0 defines them all.
+	needOut := uint64(^m0) << recNeedShift
 	var bestV int32
 	var r uint64
 	var be bool
@@ -885,7 +723,7 @@ func (s *scanState) scanFusedSeq(from int) (best, bestStart int, ok bool) {
 			kind := uint8(r>>recKindShift) & 7
 			var v int32
 			switch {
-			case kind == ctrlInvalid:
+			case kind == ctrlInvalid || r&needOut != 0:
 				v = 1
 			case kind == ctrlEnd:
 				v = 2
@@ -896,134 +734,26 @@ func (s *scanState) scanFusedSeq(from int) (best, bestStart int, ok bool) {
 				}
 				if uint(next) >= uint(n) {
 					v = 2 // leaving the stream ends the path
-				} else {
-					v = memo[next] + 1
-				}
-			}
-			memo[off] = v
-			if v >= bestV {
-				bestV = v
-				bestStart = off
-			}
-		}
-		continue
-	abort:
-		s.finishDecode(r, off, from)
-		s.states += n - 1 - off
-		clear(memo[:off+1])
-		return 0, 0, false
-	}
-	s.states += n
-	return int(bestV) - 1, bestStart, true
-}
-
-// scanFusedTracked is scanFused with register tracking. The
-// initial-mask table is filled backward exactly as in scanFusedSeq;
-// when an instruction's register transition diverges from the initial
-// mask, the successor state lives in another table and is resolved
-// through the memoized chain walk (chainRecT), which explores precisely
-// the states the reference DFS would — and whose forward-only
-// exploration never outruns the already-decoded suffix. Divergence is
-// rare on text, so the sweep stays linear.
-//
-//mel:hotpath
-func (s *scanState) scanFusedTracked(from int) (best, bestStart int, ok bool) {
-	code := s.code
-	n := len(code)
-	if n == 0 {
-		return 0, 0, true
-	}
-	e := s.e
-	recs := s.recs
-	t0 := s.table(initialMask, false)[:n]
-	states := s.states
-	var bestV int32
-	var r uint64
-	var be bool
-	lastMask := initialMask
-	lastT := t0
-	s.backEdges = 0
-	for off := n - 1; off >= 0; off-- {
-		if off < from {
-			r = recs[off]
-			goto dp
-		}
-		{
-			b := code[off]
-			if q := e.quick1[b]; q != 0 {
-				if r, be = patchQuick(q, code, off, n); be {
-					goto abort
-				}
-				goto store
-			}
-			if off+1 < n {
-				if sp := segPrefixByte[b]; sp != 0 {
-					var dok bool
-					if r, dok = segDerive(recs[off+1], sp, &e.wrongSeg); dok {
-						if backEdgeRec(r) {
-							goto abort
-						}
-						goto store
-					}
-				}
-				if q := uint64(e.quick2[b][code[off+1]]); q != 0 {
-					if q&quickSIB != 0 {
-						r = expandSIB(q, code, off, n)
-						goto store // SIB records cannot be back edges
-					}
-					if r, be = patchQuick(q, code, off, n); be {
-						goto abort
-					}
-					goto store
-				}
-			}
-			r = s.decodeSlow(off)
-			if backEdgeRec(r) {
-				goto abort
-			}
-		}
-	store:
-		recs[off] = r
-	dp:
-		{
-			kind := uint8(r>>recKindShift) & 7
-			var v int32
-			switch {
-			case kind == ctrlInvalid || regMask(uint8(r>>recNeedShift))&^initialMask != 0:
-				v = 1
-			case kind == ctrlEnd:
-				v = 2
-			default:
-				next := off + int(r&recLenMask)
-				if kind == ctrlJump {
-					next += int(int32(r >> recDispShift))
-				}
-				if uint(next) >= uint(n) {
-					v = 2 // leaving the stream ends the path
-				} else if trKind := uint8(r>>recTrKindShift) & 3; trKind == transNone {
-					v = t0[next] + 1
-				} else if nm := applyTrans(trKind, uint8(r>>recTrArgShift), initialMask); nm == initialMask {
+				} else if r&(3<<recTrKindShift) == 0 {
+					v = t0[next] + 1 // no register transition: untracked records never have one
+				} else if nm := applyTrans(uint8(r>>recTrKindShift)&3, uint8(r>>recTrArgShift), m0); nm == m0 {
 					v = t0[next] + 1
 				} else {
-					// The last divergent table is cached, and a memo hit
-					// — the common case once a run of the same
-					// transition has been seen — resolves with a single
-					// load, no call.
-					if nm != lastMask {
-						lastT = s.tableSparse(nm)
-						lastMask = nm
+					// A memo hit — the common case once a run of the same
+					// transition has been seen — resolves with two loads,
+					// no call.
+					t := s.tables[nm]
+					if !s.live[nm] {
+						t = s.tableSparse(nm)
 					}
-					if mv := lastT[next]; mv > 0 {
+					if mv := t[next]; mv > 0 {
 						v = mv + 1
 					} else {
-						s.states = states
-						v = s.chainRecT(next, nm, lastT) + 1
-						states = s.states
+						v = s.chainWalk(next, nm, t) + 1
 					}
 				}
 			}
 			t0[off] = v
-			states++
 			if v >= bestV {
 				bestV = v
 				bestStart = off
@@ -1031,180 +761,25 @@ func (s *scanState) scanFusedTracked(from int) (best, bestStart int, ok bool) {
 		}
 		continue
 	abort:
-		s.finishDecode(r, off, from)
-		s.states = states
+		recs[off] = r
+		s.backEdges = 1 + s.buildRecords(from, off)
+		s.states += n - 1 - off // the offsets above off, each resolved once
 		clear(t0[:off+1])
-		return 0, 0, false
+		best, bestStart = 0, 0
+		for start := range t0 {
+			v := t0[start]
+			if v == 0 {
+				v = s.chainWalk(start, m0, t0)
+			}
+			if l := int(v) - 1; l > best {
+				best = l
+				bestStart = start
+			}
+		}
+		return best, bestStart
 	}
-	s.states = states
-	return int(bestV) - 1, bestStart, true
-}
-
-// scanSequential computes MEL for every start offset in linear time.
-// Without register tracking the mask never changes, and in sequential
-// mode every offset has exactly one successor, so the per-offset longest
-// run satisfies dp[off] = 0 if invalid, else 1 + dp[succ(off)]. Each
-// offset is resolved exactly once: either its memo cell is already
-// filled, or the walk follows the unresolved successor chain and unwinds
-// it in reverse, assigning dp values on the way back. Backward jumps can
-// form cycles; they are cut exactly as the reference DFS cuts them (an
-// offset already on the active chain contributes 0), so results are
-// byte-identical to ScanReference. It is the fallback of the fused
-// pass (scanTraced), which has built every record by the time it
-// reports a back edge.
-//
-//mel:hotpath
-func (s *scanState) scanSequential() (best, bestStart int) {
-	n := len(s.code)
-	memo := s.table(0xFF, true)[:n]
-	recs := s.recs[:n]
-	stack := s.stack[:0]
-	states := s.states
-	for start := 0; start < n; start++ {
-		v := memo[start]
-		if v <= 0 {
-			off := start
-			var ext int32
-			for {
-				m := memo[off]
-				if m > 0 {
-					ext = m - 1
-					break
-				}
-				if m == memoInProgress {
-					ext = 0 // cycle
-					break
-				}
-				r := recs[off]
-				kind := uint8(r>>recKindShift) & 7
-				if kind == ctrlInvalid {
-					memo[off] = 1
-					states++
-					ext = 0
-					break
-				}
-				memo[off] = memoInProgress
-				stack = append(stack, int32(off))
-				if kind == ctrlEnd {
-					ext = 0
-					break
-				}
-				next := off + int(r&recLenMask)
-				if kind == ctrlJump {
-					next += int(int32(r >> recDispShift))
-				}
-				if uint(next) >= uint(n) {
-					// Leaving the stream ends the path, like a terminator.
-					ext = 0
-					break
-				}
-				off = next
-			}
-			for i := len(stack) - 1; i >= 0; i-- {
-				ext++
-				memo[stack[i]] = ext + 1
-				states++
-			}
-			stack = stack[:0]
-			v = memo[start]
-		}
-		if l := int(v) - 1; l > best {
-			best = l
-			bestStart = start
-		}
-	}
-	s.stack = stack
-	s.states = states
-	return best, bestStart
-}
-
-// scanSequentialTracked computes MEL for every start offset when
-// register tracking is on but control flow is still sequential. Each
-// (offset, mask) state then has exactly one successor state, so the
-// reference DFS degenerates to a chain: walk it iteratively, pushing
-// visited states, and unwind in reverse assigning memo values — the same
-// shape as scanSequential but with per-mask tables and the compiled
-// register transitions. Visit order, cycle cuts, and memo writes match
-// the reference DFS exactly, so results are byte-identical. Like
-// scanSequential, it runs over the records the aborted fused pass
-// built.
-//
-//mel:hotpath
-func (s *scanState) scanSequentialTracked() (best, bestStart int) {
-	n := len(s.code)
-	t0 := s.table(initialMask, true)[:n]
-	recs := s.recs[:n]
-	stack := s.maskStack[:0]
-	states := s.states
-	for start := 0; start < n; start++ {
-		if t0[start] == 0 {
-			off, mask := start, initialMask
-			t := t0
-			var ext int32
-			for {
-				m := t[off]
-				if m > 0 {
-					ext = m - 1
-					break
-				}
-				if m == memoInProgress {
-					ext = 0 // cycle
-					break
-				}
-				r := recs[off]
-				kind := uint8(r>>recKindShift) & 7
-				if kind == ctrlInvalid || regMask(uint8(r>>recNeedShift))&^mask != 0 {
-					t[off] = 1
-					states++
-					ext = 0
-					break
-				}
-				t[off] = memoInProgress
-				stack = append(stack, uint64(off)<<8|uint64(mask))
-				if kind == ctrlEnd {
-					ext = 0
-					break
-				}
-				next := off + int(r&recLenMask)
-				if kind == ctrlJump {
-					next += int(int32(r >> recDispShift))
-				}
-				if uint(next) >= uint(n) {
-					// Continuation leaves the stream: path ends here.
-					ext = 0
-					break
-				}
-				off = next
-				if trKind := uint8(r>>recTrKindShift) & 3; trKind != transNone {
-					if nm := applyTrans(trKind, uint8(r>>recTrArgShift), mask); nm != mask {
-						mask = nm
-						t = s.table(mask, true)[:n]
-					}
-				}
-			}
-			// Unwind: each pushed state extends its successor's run by one.
-			// Consecutive frames usually share a mask; refetch only on change.
-			ut, utMask := t0, initialMask
-			for i := len(stack) - 1; i >= 0; i-- {
-				fr := stack[i]
-				if m := regMask(fr); m != utMask {
-					utMask = m
-					ut = s.table(m, true)
-				}
-				ext++
-				ut[fr>>8] = ext + 1
-				states++
-			}
-			stack = stack[:0]
-		}
-		if l := int(t0[start]) - 1; l > best {
-			best = l
-			bestStart = start
-		}
-	}
-	s.maskStack = stack
-	s.states = states
-	return best, bestStart
+	s.states += n // every offset resolved once on t0; chainWalk counts its own
+	return int(bestV) - 1, bestStart
 }
 
 // ValiditySequence disassembles the stream linearly (resynchronizing

@@ -5,8 +5,9 @@ import (
 )
 
 // This file is the decode half of the anchored single-pass scan core:
-// every stream offset is reduced, in one forward pass, to a packed
-// 64-bit record holding exactly what the DP over execution chains needs
+// every stream offset is reduced, in one backward pass (the fused
+// pass's own loop in scanFused, or buildRecords), to a packed 64-bit
+// record holding exactly what the walks over execution chains need
 // — encoded length, control kind, required registers, the compiled
 // register transition, and the branch displacement. Records are
 // position-independent (the displacement is relative), which is what
@@ -160,7 +161,8 @@ func backEdgeRec(r uint64) bool {
 }
 
 // countBackEdges tallies backEdgeRec over a record slice — used by the
-// window scanner to re-establish the count for carried records.
+// window scanner to reject carried back edges, and by melverify as the
+// direct tally.
 func countBackEdges(recs []uint64) int {
 	n := 0
 	for _, r := range recs {
@@ -715,12 +717,31 @@ func (s *scanState) ensureRecs() {
 	} else {
 		s.recs = s.recs[:n]
 	}
-	// The sweeps' iterative chain walk (chainRecT) indexes maskStack
-	// directly instead of appending; a forward chain visits each offset
-	// at most once, so n frames always suffice.
+	// chainWalk pushes one maskStack frame per state on its active
+	// chain. A forward chain visits each offset at most once, so n
+	// frames cover every walk of the fused pass and of the back-edge
+	// fallback without register tracking; only a cyclic tracked chain,
+	// which can revisit one offset under several masks, may grow it.
 	if cap(s.maskStack) < n {
-		s.maskStack = make([]uint64, n)
+		s.maskStack = make([]uint64, 0, n)
 	}
+}
+
+// lazyRec decodes the record at off for the on-demand walks (ScanFrom,
+// Trace), which start from zeroed records (no packed record is zero)
+// and touch only the offsets their path reaches. quick1 resolves the
+// common text forms; the rest take the spec decoder, which — unlike
+// segDerive — needs no successor record. Either way the record is the
+// one buildRecords would store.
+func (s *scanState) lazyRec(off int) uint64 {
+	var r uint64
+	if q := s.e.quick1[s.code[off]]; q != 0 {
+		r, _ = patchQuick(q, s.code, off, len(s.code))
+	} else {
+		r = s.recFull(off)
+	}
+	s.recs[off] = r
+	return r
 }
 
 // recFull builds the packed record for one offset through the full
@@ -813,26 +834,25 @@ func immWidthsEqual(inst *x86.Inst) bool {
 	return true
 }
 
-// buildRecords compiles every offset in [from, len(code)) to its packed
+// buildRecords compiles every offset in [from, to) to its packed
 // record in one backward pass over the quick tables and the slow fused
 // decoder — backward so a segment-override prefix can derive its record
-// from the already-final successor record (segDerive). Offsets below
-// from keep their existing records — the stream-carry reuse path
-// (WindowScanner). The sequential modes do not come through here:
-// they fuse this loop with the suffix DP (scanFused*). buildRecords
-// serves the all-paths mode and melverify's record check.
+// from the already-final successor record (segDerive; the record at to,
+// if any, must already be in place). Offsets outside the range keep
+// their existing records — the stream-carry reuse path (WindowScanner)
+// below from, the fused pass's suffix above to. It returns the number
+// of back edges among the records it built. The sequential modes fuse
+// this loop with the suffix DP (scanFused) and call it only to finish
+// the decode half after a back edge; it serves the all-paths mode,
+// FusedRecords, and melverify's record check.
 //
 //mel:hotpath
-func (s *scanState) buildRecords(from int) {
+func (s *scanState) buildRecords(from, to int) (backEdges int) {
 	code := s.code
 	n := len(code)
 	e := s.e
 	recs := s.recs
-	backEdges := 0
-	if from == 0 {
-		s.backEdges = 0
-	}
-	for off := n - 1; off >= from; off-- {
+	for off := to - 1; off >= from; off-- {
 		b := code[off]
 		if q := e.quick1[b]; q != 0 {
 			r, be := patchQuick(q, code, off, n)
@@ -873,7 +893,7 @@ func (s *scanState) buildRecords(from int) {
 			backEdges++
 		}
 	}
-	s.backEdges += backEdges
+	return backEdges
 }
 
 // patchQuick resolves a quick-table record against the stream: the

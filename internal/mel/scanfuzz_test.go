@@ -31,7 +31,9 @@ func fuzzEngine(sel uint8) *Engine {
 // sequential modes then time the fused pass as the DP stage and leave
 // the decode stage unset), and rescanning each input as overlapping
 // carried windows, traced and untraced in turn, must match a fresh
-// scan of every window.
+// scan of every window. ScanFrom is held to ScanFromReference at the
+// first, middle and last offset under all eight engines, so its
+// on-demand records meet back edges and cycles, not just text.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add([]byte("The quick brown fox jumps over the lazy dog 1234567890"), uint8(0))
 	// Sled-like run of single-byte instructions ending in a short jump.
@@ -64,6 +66,17 @@ func FuzzScanDifferential(f *testing.F) {
 		}
 		if fused := e.mode != ModeAllPaths; fused != (tr.StageDur(tracing.StageDecode) < 0) {
 			t.Fatalf("fused=%v but decode stage = %v", fused, tr.StageDur(tracing.StageDecode))
+		}
+		for s := uint8(0); s < 8; s++ {
+			fe := fuzzEngine(s)
+			for _, off := range [...]int{0, len(data) / 2, len(data) - 1} {
+				got, errG := fe.ScanFrom(data, off)
+				want, errW := fe.ScanFromReference(data, off)
+				if errG != nil || errW != nil || got != want {
+					t.Fatalf("engine %d off %d: ScanFrom=%d (%v) ScanFromReference=%d (%v)",
+						s, off, got, errG, want, errW)
+				}
+			}
 		}
 
 		// Boundary straddling: feed the stream as overlapping windows

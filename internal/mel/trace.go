@@ -19,9 +19,10 @@ type TraceStep struct {
 // decoded instructions along it (the analyst-facing "why was this
 // flagged" evidence). The walk follows the same policy as Scan: at a
 // conditional branch in all-paths mode it picks whichever arm yields the
-// longer continuation; in sequential mode it falls through. The final
-// step, if any, is the invalid instruction (or decode boundary) that
-// ends the run.
+// longer continuation (falling through on a tie), measured by the same
+// memoized DFS over packed records that ScanFrom runs; in sequential
+// mode it falls through. The final step, if any, is the invalid
+// instruction (or decode boundary) that ends the run.
 func (e *Engine) Trace(stream []byte, start int) ([]TraceStep, error) {
 	if len(stream) == 0 {
 		return nil, ErrEmptyStream
@@ -34,11 +35,9 @@ func (e *Engine) Trace(stream []byte, start int) ([]TraceStep, error) {
 	}
 	s := acquireState(e, stream)
 	defer releaseState(s)
-	s.ensureDecodeCache()
-	mask := regMask(0xFF)
-	if e.rules.TrackRegisterInit {
-		mask = initialMask
-	}
+	s.ensureRecs()
+	clear(s.recs)
+	mask := e.startMask()
 
 	var steps []TraceStep
 	off := start
@@ -71,8 +70,8 @@ func (e *Engine) Trace(stream []byte, start int) ([]TraceStep, error) {
 			return steps, nil
 		case inst.Flags.Has(x86.FlagCondBranch):
 			if e.mode == ModeAllPaths {
-				fall := s.longest(next, nextMask)
-				taken := s.longest(inst.RelTarget, nextMask)
+				fall := s.longestRec(next, nextMask)
+				taken := s.longestRec(inst.RelTarget, nextMask)
 				if taken > fall {
 					next = inst.RelTarget
 				}

@@ -1,11 +1,15 @@
 package mel
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/encoder"
 	"repro/internal/shellcode"
+	"repro/internal/stats"
 )
 
 func TestTraceValidation(t *testing.T) {
@@ -149,5 +153,107 @@ func TestFormatTrace(t *testing.T) {
 	}
 	if strings.Count(out, "\n") > 11 {
 		t.Errorf("elided format too long:\n%s", out)
+	}
+}
+
+// traceListing renders a trace as one line per step: offset, validity
+// and disassembly — the form the pins below compare.
+func traceListing(t *testing.T, eng *Engine, stream []byte, start int) string {
+	t.Helper()
+	steps, err := eng.Trace(stream, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FormatTrace(steps, 0)
+}
+
+// TestTracePinned pins Trace's steps on two shapes its arm choice must
+// keep:
+//   - backEdge: an all-paths DAWN path that re-enters its own head
+//     through a backward jump with ebx defined on one arm, so the head
+//     is revisited under a wider mask and the arm choice at each
+//     conditional reads memo values computed under both masks;
+//   - tie: both arms of a conditional yield the same continuation, and
+//     the trace falls through (it takes the branch only when
+//     taken > fall).
+func TestTracePinned(t *testing.T) {
+	backEdge := []byte{
+		0x41,       // 0: inc ecx
+		0x74, 0x05, // 1: je +5 -> 8
+		0x5B,       // 3: pop ebx (defines ebx)
+		0x8B, 0x03, // 4: mov eax, [ebx]
+		0xEB, 0xF8, // 6: jmp -8 -> 0 (back edge)
+		0x8B, 0x0B, // 8: mov ecx, [ebx] (invalid until ebx is defined)
+		0x90, // 10: nop
+		0x90, // 11: nop
+	}
+	tie := []byte{
+		0x74, 0x02, // 0: je +2 -> 4
+		0x90, 0x6C, // 2: nop; insb (invalid)
+		0x90, 0x6C, // 4: nop; insb (invalid)
+	}
+	const tieWant = "" +
+		"   000000  je +4\n" +
+		"   000002  nop\n" +
+		"!! 000003  ins\n"
+	for _, tc := range []struct {
+		name   string
+		rules  Rules
+		stream []byte
+		want   string
+	}{
+		{"backEdge", DAWN(), backEdge, "" +
+			"   000000  inc ecx\n" +
+			"   000001  je +8\n" +
+			"   000003  pop ebx\n" +
+			"   000004  mov [ebx]\n" +
+			"   000006  jmp +0\n" +
+			"   000000  inc ecx\n" +
+			"   000001  je +8\n" +
+			"   000008  mov [ebx]\n" +
+			"   00000a  nop\n" +
+			"   00000b  nop\n"},
+		{"tie/dawn", DAWN(), tie, tieWant},
+		{"tie/dawnStateless", DAWNStateless(), tie, tieWant},
+	} {
+		eng := NewEngineMode(tc.rules, ModeAllPaths)
+		if got := traceListing(t, eng, tc.stream, 0); got != tc.want {
+			t.Errorf("%s: trace changed:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestTraceDigestPinned pins Trace from each scan's BestStart over
+// dense-jump streams (cycles, backward jumps, forks at most offsets) for
+// every rule set and mode: the listings are hashed into one digest.
+func TestTraceDigestPinned(t *testing.T) {
+	h := sha256.New()
+	rng := stats.NewRNG(77)
+	for trial := 0; trial < 40; trial++ {
+		stream := make([]byte, 32+rng.Intn(96))
+		for i := range stream {
+			switch rng.Intn(5) {
+			case 0:
+				stream[i] = 0xEB // jmp rel8
+			case 1:
+				stream[i] = byte(0x70 + rng.Intn(16)) // jcc rel8
+			case 2:
+				stream[i] = byte(0x58 + rng.Intn(8)) // pop reg
+			default:
+				stream[i] = byte(rng.Intn(256))
+			}
+		}
+		for sel := uint8(0); sel < 8; sel++ {
+			eng := fuzzEngine(sel)
+			res, err := eng.Scan(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%d/%d@%d\n%s", trial, sel, res.BestStart, traceListing(t, eng, stream, res.BestStart))
+		}
+	}
+	const want = "bbe85622af323a315b846b0bd0d9ffe3447d7abf621f44191a338cffc7b522d3"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("trace digest = %s, want %s", got, want)
 	}
 }

@@ -30,7 +30,7 @@ func (e *Engine) FusedRecords(code []byte, dst []uint64) []uint64 {
 	s := acquireState(e, code)
 	defer releaseState(s)
 	s.ensureRecs()
-	s.buildRecords(0)
+	s.buildRecords(0, len(code))
 	return append(dst, s.recs[:len(code)]...)
 }
 
@@ -160,15 +160,15 @@ func (e *Engine) VerifyScanInvariants(code []byte) error {
 	s2 := acquireState(e, code)
 	defer releaseState(s2)
 	s2.ensureRecs()
-	s2.buildRecords(0)
+	gotBE := s2.buildRecords(0, n)
 	for off := range code {
 		if s2.recs[off] != ref[off] {
 			return recordDivergence("buildRecords", code, off, s2.recs[off], ref[off])
 		}
 	}
-	if s2.backEdges != wantBE {
+	if gotBE != wantBE {
 		return fmt.Errorf("mel: buildRecords counted %d back edges, direct tally %d (stream %x)",
-			s2.backEdges, wantBE, clip(code))
+			gotBE, wantBE, clip(code))
 	}
 
 	// Fused single pass — the production path, including the chain-walk

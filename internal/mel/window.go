@@ -117,10 +117,10 @@ func (w *WindowScanner) ScanNextTraced(window []byte, advance int, tr *tracing.T
 		// this is an overlapping forward memmove.
 		copy(s.recs[:from], old[advance:advance+from])
 		// The fused sweep trusts carried records without re-checking
-		// them, and the chain walks require s.backEdges to cover them;
-		// a backward transfer in the carry voids both. Re-decoding is
-		// the rare clean answer: the scan then discovers the back edge
-		// itself and takes the fallback it always takes.
+		// them for back edges, and a backward transfer in the carry
+		// voids its suffix order. Re-decoding is the rare clean answer:
+		// the scan then discovers the back edge itself and takes the
+		// fallback it always takes.
 		if countBackEdges(s.recs[:from]) != 0 {
 			from = 0
 		}

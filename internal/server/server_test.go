@@ -195,55 +195,67 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestOverloadShedsTyped: with one worker, a one-slot queue, and a
-// stalled detector-free flood, excess requests shed with
-// ErrOverloaded — and every request returns; nothing hangs.
+// TestOverloadShedsTyped: with one worker, a tiny queue, and a flood of
+// in-flight requests, excess requests shed with ErrOverloaded — and
+// every request returns a verdict or that typed error; nothing hangs.
+// Two shapes: one payload repeated into a one-slot queue, and a burst
+// of 64 requests cycling 32 distinct payloads into a two-slot queue.
 func TestOverloadShedsTyped(t *testing.T) {
-	srv, addr := startServer(t, server.Config{Workers: 1, QueueDepth: 1, CacheSize: -1})
-	c, err := client.Dial(addr, client.WithTimeout(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	p := benignPayloads(t, 9, 1)[0]
-	const inflight = 32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var shed, served int
-	var unexpected []error
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := c.Scan(p)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				served++
-			case errors.Is(err, server.ErrOverloaded):
-				shed++
-			default:
-				unexpected = append(unexpected, err)
+	for _, tc := range []struct {
+		name            string
+		queue, inflight int
+		distinct        int
+	}{
+		{"repeat", 1, 32, 1},
+		{"burst", 2, 64, 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{Workers: 1, QueueDepth: tc.queue, CacheSize: -1})
+			c, err := client.Dial(addr, client.WithTimeout(30*time.Second))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	if len(unexpected) > 0 {
-		t.Fatalf("unexpected errors: %v", unexpected)
-	}
-	if served == 0 {
-		t.Fatal("no request served under overload")
-	}
-	if shed == 0 {
-		t.Fatal("no request shed: queue depth 1 with 32 in flight must shed")
-	}
-	if served+shed != inflight {
-		t.Fatalf("served %d + shed %d != %d", served, shed, inflight)
-	}
-	if v, ok := srv.Metrics().Value("shed_total"); !ok || v != float64(shed) {
-		t.Fatalf("shed_total = %v, want %d", v, shed)
+			defer c.Close()
+
+			payloads := benignPayloads(t, 9, tc.distinct)
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			var shed, served int
+			var unexpected []error
+			for i := 0; i < tc.inflight; i++ {
+				wg.Add(1)
+				go func(p []byte) {
+					defer wg.Done()
+					_, err := c.Scan(p)
+					mu.Lock()
+					defer mu.Unlock()
+					switch {
+					case err == nil:
+						served++
+					case errors.Is(err, server.ErrOverloaded):
+						shed++
+					default:
+						unexpected = append(unexpected, err)
+					}
+				}(payloads[i%len(payloads)])
+			}
+			wg.Wait()
+			if len(unexpected) > 0 {
+				t.Fatalf("unexpected errors: %v", unexpected)
+			}
+			if served == 0 {
+				t.Fatal("no request served under overload")
+			}
+			if shed == 0 {
+				t.Fatalf("no request shed: queue depth %d with %d in flight must shed", tc.queue, tc.inflight)
+			}
+			if served+shed != tc.inflight {
+				t.Fatalf("served %d + shed %d != %d", served, shed, tc.inflight)
+			}
+			if v, ok := srv.Metrics().Value("shed_total"); !ok || v != float64(shed) {
+				t.Fatalf("shed_total = %v, want %d", v, shed)
+			}
+		})
 	}
 }
 
