@@ -63,3 +63,61 @@ type aliasBox struct {
 func (b *aliasBox) AliasLeak() {
 	b.mu.Lock()
 }
+
+// InvokedLeak leaves the lock held when an immediately invoked literal
+// returns: the literal is a frame of its own.
+func (b *box) InvokedLeak() {
+	func() {
+		b.mu.Lock()
+	}()
+	b.mu.Unlock()
+}
+
+// DeferredLeak locks inside a deferred closure and never unlocks.
+func (b *box) DeferredLeak() {
+	defer func() {
+		b.mu.Lock()
+		b.vals["x"]++
+	}()
+}
+
+// SendInLoop sends with the lock held; the path that continues has
+// released it first.
+func (b *box) SendInLoop(xs []int) {
+	for _, x := range xs {
+		b.mu.Lock()
+		if x < 0 {
+			b.mu.Unlock()
+			continue
+		}
+		b.queue <- x
+		b.mu.Unlock()
+	}
+}
+
+// HeldOnBothBranches returns with the lock held: both branches took
+// it, so the join agrees.
+func (b *box) HeldOnBothBranches(fast bool) int {
+	if fast {
+		b.mu.Lock()
+	} else {
+		b.mu.Lock()
+		b.vals["slow"]++
+	}
+	return len(b.vals)
+}
+
+// Pair holds two boxes of the same type and forgets one unlock: the
+// source text tells them apart.
+func Pair(x, y *box) {
+	x.mu.Lock()
+	y.mu.Lock()
+	y.vals["n"] = x.vals["n"]
+	y.mu.Unlock()
+}
+
+// LocalLeak leaves a function-local mutex locked.
+func LocalLeak() {
+	var mu sync.Mutex
+	mu.Lock()
+}

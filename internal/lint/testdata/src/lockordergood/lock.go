@@ -50,3 +50,72 @@ func handoff() {
 	b.n++
 	b.mu.Unlock()
 }
+
+// invoked nests back under front inside an immediately invoked literal,
+// in the canonical order.
+func invoked() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.n++
+	}()
+	f.n++
+}
+
+// deferredCount bumps front from a deferred closure, after the body
+// has released back.
+func deferredCount() {
+	defer func() {
+		f.mu.Lock()
+		f.n++
+		f.mu.Unlock()
+	}()
+	b.mu.Lock()
+	b.n++
+	b.mu.Unlock()
+}
+
+// drain takes back under front per item, leaving early by continue and
+// break with front held: every path keeps the front→back order.
+func drain(xs []int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, x := range xs {
+		if x == 0 {
+			continue
+		}
+		if x < 0 {
+			break
+		}
+		b.mu.Lock()
+		b.n += x
+		b.mu.Unlock()
+	}
+}
+
+// either holds front on one branch only when it takes back: front is
+// ambiguous after the join and adds no edge.
+func either(fast bool) {
+	if fast {
+		f.mu.Lock()
+	}
+	b.mu.Lock()
+	b.n++
+	b.mu.Unlock()
+	if fast {
+		f.mu.Unlock()
+	}
+}
+
+// localFirst nests front under a function-local mutex, which has no
+// cross-function identity and adds no edge.
+func localFirst() {
+	var mu sync.Mutex
+	mu.Lock()
+	f.mu.Lock()
+	f.n++
+	f.mu.Unlock()
+	mu.Unlock()
+}
