@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test vet lint lint-strict verify verify-quick ci bench bench-engine bench-smoke bench-guard race fuzz report cover clean
 
@@ -10,17 +11,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# mellint is the repo's own analyzer suite (internal/lint): hot-path
-# call and allocation discipline, wire-protocol exhaustiveness, lock
-# hygiene, atomic discipline, goroutine-leak evidence, opcode-table
-# integrity, context conventions, taint flow from hostile wire input,
-# and module-wide lock ordering. Findings recorded and justified in
+# lint first fails if gofmt would reformat any file, then runs mellint,
+# the repo's own analyzer suite (internal/lint): hot-path call and
+# allocation discipline (allocfree), wire-protocol exhaustiveness, lock
+# hygiene and module-wide lock ordering (lockcheck and lockorder, two
+# reports over one lock model), atomic discipline, goroutine-leak
+# evidence, opcode-table integrity, context conventions, and taint flow
+# from hostile wire input. Findings recorded and justified in
 # lint.baseline are suppressed; anything new exits nonzero. One run
 # archives both machine-readable reports: lint.json for tooling and
 # lint.sarif for code-scanning UIs.
 # Timings go to a separate artifact (lint-timings.json) so the
 # committed lint.json/lint.sarif stay byte-identical across re-runs.
 lint:
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mellint -baseline lint.baseline -json -o lint.json -sarif-o lint.sarif -timings-o lint-timings.json ./...
 
 # lint-strict ignores the baseline: every accepted finding surfaces

@@ -6,7 +6,7 @@
 //	mellint [flags] [packages]
 //
 // Patterns default to ./... relative to the current directory. Each
-// analyzer has a bool flag (-hotpath, -lockcheck, ...) defaulting to
+// analyzer has a bool flag (-allocfree, -lockcheck, ...) defaulting to
 // true; disable one with e.g. -lockcheck=false. -list prints the
 // available analyzers.
 //

@@ -1,15 +1,21 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// AllocFreeAnalyzer enforces the allocation half of the hot-path
-// contract, interprocedurally: every function in the //mel:hotpath
-// call-graph closure must be statically allocation-free. It flags, in
-// any reached body:
+// HotpathDirective is the doc-comment directive that marks a function
+// as part of an allocation-free hot path. The directive covers the
+// function and everything it statically calls within the module.
+const HotpathDirective = "//mel:hotpath"
+
+// AllocFreeAnalyzer enforces the hot-path contract, interprocedurally:
+// every function in the //mel:hotpath call-graph closure must be
+// statically allocation-free and keep to the hot-path call discipline.
+// It flags, in any reached body:
 //
 //   - make of a map or channel, make of a slice with a non-constant
 //     size, and any make/new whose result escapes per the IR's escape
@@ -22,7 +28,10 @@ import (
 //     passed, sent) — a literal that stays local or runs in place is
 //     allowed;
 //   - composite literals whose storage escapes;
-//   - boxing of non-pointer-shaped values into interfaces.
+//   - boxing of non-pointer-shaped values into interfaces;
+//   - any use of fmt or reflect;
+//   - defer inside a loop: the deferred call list grows per iteration
+//     and is heap allocated once the loop form defeats open-coding.
 //
 // The one idiom deliberately admitted is the pooled grow-to-fit guard
 // (`if cap(s.buf) < n { s.buf = make(...) }`): allocations inside a
@@ -31,8 +40,9 @@ import (
 // guard cannot excuse (appends, map writes) stays flagged and must be
 // justified line-by-line in lint.baseline.
 //
-// Together with hotpath (fmt/reflect bans, defer-in-loop) this turns
-// the engine bench's "0 allocs/op" (E19, engine_scan_benign_4k) from a
+// Dynamic calls (interface methods, function values) end the closure;
+// the contract is about what the compiler can see. This turns the
+// engine bench's "0 allocs/op" (E19, engine_scan_benign_4k) from a
 // benchmark observation into a statically checked property of
 // Engine.Scan, DecodeInto, Pool.Submit, the verdict cache, and the
 // tracing span methods.
@@ -52,15 +62,47 @@ func runAllocFree(pass *Pass) {
 			checkAllocSites(pass, m.Fn.Pkg, ir, frame, suffix)
 		}
 		checkInterfaceBoxing(pass, m.Fn.Pkg, m.Fn.Decl, suffix)
+		checkBannedPackages(pass, m, suffix)
 	}
 }
 
+// hotSuffix renders the attribution tail shared by all hot-closure
+// diagnostics.
+func hotSuffix(m HotMember) string {
+	where := m.Fn.Decl.Name.Name
+	if where != m.Root {
+		return fmt.Sprintf(" (in %s, reached from //mel:hotpath %s)", where, m.Root)
+	}
+	return fmt.Sprintf(" (in //mel:hotpath %s)", where)
+}
+
+// checkBannedPackages flags any use of fmt or reflect.
+func checkBannedPackages(pass *Pass, m HotMember, suffix string) {
+	ast.Inspect(m.Fn.Decl.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := m.Fn.Pkg.Info.Uses[id]; obj != nil && obj.Pkg() != nil {
+				switch obj.Pkg().Path() {
+				case "fmt", "reflect":
+					pass.Reportf(id.Pos(), "use of %s.%s on a hot path%s", obj.Pkg().Path(), obj.Name(), suffix)
+				}
+			}
+		}
+		return true
+	})
+}
+
 // checkAllocSites walks one frame of the IR and reports allocation
-// sites the escape lattice cannot clear.
+// sites the escape lattice cannot clear, and defers at a frame-local
+// loop depth above zero (a defer inside a literal is not in the outer
+// loop).
 func checkAllocSites(pass *Pass, pkg *Package, ir, frame *FuncIR, suffix string) {
 	info := pkg.Info
-	frame.Walk(func(n ast.Node, _ int) {
+	frame.Walk(func(n ast.Node, loopDepth int) {
 		switch n := n.(type) {
+		case *ast.DeferStmt:
+			if loopDepth > 0 {
+				pass.Reportf(n.Pos(), "defer inside a loop on a hot path%s", suffix)
+			}
 		case *ast.CallExpr:
 			checkAllocCall(pass, pkg, ir, n, suffix)
 		case *ast.AssignStmt:
@@ -229,10 +271,6 @@ func isByteOrRuneSlice(t types.Type) bool {
 	return ok && (basic.Kind() == types.Byte || basic.Kind() == types.Rune ||
 		basic.Kind() == types.Uint8 || basic.Kind() == types.Int32)
 }
-
-// --- interface boxing (moved here from the hotpath analyzer; the
-// check is about allocation, and both analyzers share the same
-// closure) ---
 
 // checkInterfaceBoxing flags conversions of concrete non-pointer values
 // into interface types in call arguments, returns, assignments, and

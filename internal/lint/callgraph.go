@@ -8,8 +8,8 @@ import (
 
 // This file is the interprocedural half of the dataflow layer: one
 // module-wide static call graph, built once per Module and shared by
-// every analyzer that reasons across function boundaries (hotpath,
-// allocfree, leakcheck). Before it existed each analyzer re-indexed
+// every analyzer that reasons across function boundaries (allocfree,
+// leakcheck, taintcheck, lockorder). Before it existed each analyzer re-indexed
 // every function body and re-derived its own callee edges; now the
 // traversal is computed once, under Run's facts phase, and the
 // analyzers only walk it.

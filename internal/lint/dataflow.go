@@ -272,88 +272,85 @@ func (s *FlowSummary) equal(o *FlowSummary) bool {
 // non-recursive callees are final by the time a caller is analyzed,
 // and mutual recursion is confined to iterating one component.
 func (g *CallGraph) SCCs() [][]*GraphFunc {
-	// Iterative Tarjan over the deterministic g.order.
-	index := make(map[string]int, len(g.order))
-	low := make(map[string]int, len(g.order))
+	comps := stronglyConnected(g.order, func(key string) []string { return g.Funcs[key].Callees })
+	out := make([][]*GraphFunc, len(comps))
+	for i, comp := range comps {
+		for _, key := range comp {
+			out[i] = append(out[i], g.Funcs[key])
+		}
+	}
+	return out
+}
+
+// stronglyConnected is an iterative Tarjan over nodes, visited in the
+// given order with successors in succ's order; successors outside
+// nodes are ignored. Components come out callee-first — each before
+// any component with an edge into it — with members in nodes order.
+func stronglyConnected(nodes []string, succ func(string) []string) [][]string {
+	pos := make(map[string]int, len(nodes))
+	for i, n := range nodes {
+		pos[n] = i
+	}
+	index := make(map[string]int, len(nodes))
+	low := make(map[string]int, len(nodes))
 	onStack := make(map[string]bool)
 	var stack []string
-	var sccs [][]*GraphFunc
-	next := 0
-
+	var comps [][]string
 	type frame struct {
-		key  string
+		node string
+		succ []string
 		edge int
 	}
-	var visit func(root string)
-	visit = func(root string) {
-		frames := []frame{{key: root}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+	var frames []frame
+	enter := func(n string) {
+		index[n] = len(index)
+		low[n] = index[n]
+		stack = append(stack, n)
+		onStack[n] = true
+		frames = append(frames, frame{node: n, succ: succ(n)})
+	}
+	for _, root := range nodes {
+		if _, seen := index[root]; seen {
+			continue
+		}
+		enter(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			gf := g.Funcs[f.key]
-			advanced := false
-			for f.edge < len(gf.Callees) {
-				callee := gf.Callees[f.edge]
+			if f.edge < len(f.succ) {
+				w := f.succ[f.edge]
 				f.edge++
-				if _, ok := g.Funcs[callee]; !ok {
-					continue // external or dynamic target
+				if _, ok := pos[w]; !ok {
+					continue
 				}
-				if _, seen := index[callee]; !seen {
-					index[callee] = next
-					low[callee] = next
-					next++
-					stack = append(stack, callee)
-					onStack[callee] = true
-					frames = append(frames, frame{key: callee})
-					advanced = true
-					break
+				if _, seen := index[w]; !seen {
+					enter(w)
+				} else if onStack[w] && index[w] < low[f.node] {
+					low[f.node] = index[w]
 				}
-				if onStack[callee] && low[f.key] > index[callee] {
-					low[f.key] = index[callee]
-				}
-			}
-			if advanced {
 				continue
 			}
-			if low[f.key] == index[f.key] {
-				var comp []*GraphFunc
+			n := f.node
+			frames = frames[:len(frames)-1]
+			if low[n] == index[n] {
+				var comp []string
 				for {
 					top := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[top] = false
-					comp = append(comp, g.Funcs[top])
-					if top == f.key {
+					comp = append(comp, top)
+					if top == n {
 						break
 					}
 				}
-				sccs = append(sccs, comp)
+				sort.Slice(comp, func(i, j int) bool { return pos[comp[i]] < pos[comp[j]] })
+				comps = append(comps, comp)
 			}
-			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[parent.key] > low[f.key] {
-					low[parent.key] = low[f.key]
+				if p := frames[len(frames)-1].node; low[n] < low[p] {
+					low[p] = low[n]
 				}
 			}
 		}
 	}
-	for _, key := range g.order {
-		if _, seen := index[key]; !seen {
-			visit(key)
-		}
-	}
-	orderIdx := make(map[string]int, len(g.order))
-	for i, key := range g.order {
-		orderIdx[key] = i
-	}
-	for _, comp := range sccs {
-		sort.Slice(comp, func(i, j int) bool {
-			return orderIdx[comp[i].Key] < orderIdx[comp[j].Key]
-		})
-	}
-	return sccs
+	return comps
 }

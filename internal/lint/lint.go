@@ -39,7 +39,7 @@ type Package struct {
 	Info  *types.Info
 	// Target marks packages the command-line patterns selected.
 	// Non-target packages are loaded so module-wide analyses (the
-	// hotpath call graph) can see their bodies, but diagnostics are
+	// //mel:hotpath call graph) can see their bodies, but diagnostics are
 	// only reported inside targets.
 	Target bool
 }
@@ -130,7 +130,6 @@ type Analyzer struct {
 // freshly allocated; callers may filter it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		HotpathAnalyzer(),
 		AllocFreeAnalyzer(),
 		WireErrorsAnalyzer(),
 		LockCheckAnalyzer(),

@@ -19,16 +19,10 @@ import (
 //
 // Read locks are exempt from the held-across-send rule: the pool's
 // admission path deliberately holds RLock across its queue send so
-// Close cannot close the channel mid-send.
-//
-// The analysis is a per-function abstract interpretation of the
-// statement tree: each sync lock expression (keyed by its source text)
-// carries a state in {unlocked, locked, locked-by-defer}; branches are
-// analyzed independently and merged, with terminated branches (return,
-// break, continue, goto) dropped from the merge. Branches that survive
-// with conflicting states stop tracking that lock — ambiguity is not
-// reported, so the check stays false-positive-free on conventional
-// code.
+// Close cannot close the channel mid-send. Locks are those of the
+// shared lock model (lockstate.go), keyed by source text; ambiguous
+// ones are never reported, which keeps the check false-positive-free
+// on conventional code.
 func LockCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockcheck",
@@ -40,425 +34,68 @@ func LockCheckAnalyzer() *Analyzer {
 func runLockCheck(pass *Pass) {
 	for _, pkg := range pass.Module.Pkgs {
 		netConn := lookupNetConn(pkg)
-		eachFunc(pkg, func(fd *ast.FuncDecl) {
-			lc := &lockChecker{pass: pass, pkg: pkg, netConn: netConn}
-			lc.checkFuncBody(fd.Body)
-			// Function literals are separate frames with their own lock
-			// scope (a goroutine body must balance its own locks).
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					inner := &lockChecker{pass: pass, pkg: pkg, netConn: netConn}
-					inner.checkFuncBody(lit.Body)
+		ev := &lockEvents{
+			acquire: func(lockOp, token.Pos, heldSet, heldSet) {},
+			exit: func(pos token.Pos, held heldSet, atReturn bool) {
+				for _, l := range held {
+					switch {
+					case l.deferred || l.ambiguous:
+					case atReturn:
+						pass.Reportf(pos, "%s is held at return without an Unlock on this path", lockName(l))
+					default:
+						pass.Reportf(pos, "%s is still held when the function returns", lockName(l))
+					}
 				}
-				return true
-			})
-		})
-	}
-}
-
-// lockMode distinguishes exclusive from shared acquisition.
-type lockMode int
-
-const (
-	lockExclusive lockMode = iota
-	lockShared
-)
-
-// lockState is the abstract state of one lock expression.
-type lockState int
-
-const (
-	stHeld lockState = iota + 1
-	stHeldDefer
-	stAmbiguous // branches disagreed; stop tracking
-)
-
-// lockKey identifies a lock by source text and mode, so mu.Lock pairs
-// with mu.Unlock and mu.RLock with mu.RUnlock independently.
-type lockKey struct {
-	expr string
-	mode lockMode
-}
-
-// lockEnv is the abstract state of all tracked locks.
-type lockEnv map[lockKey]lockState
-
-func (e lockEnv) clone() lockEnv {
-	out := make(lockEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
-// anyExclusiveHeld reports whether any exclusive lock is currently
-// held (deferred release still counts as held).
-func (e lockEnv) anyExclusiveHeld() (lockKey, bool) {
-	for k, v := range e {
-		if k.mode == lockExclusive && (v == stHeld || v == stHeldDefer) {
-			return k, true
-		}
-	}
-	return lockKey{}, false
-}
-
-// flowResult describes how a statement sequence exits.
-type flowResult int
-
-const (
-	flowFallThrough flowResult = iota
-	flowTerminated             // return, break, continue, goto, panic
-)
-
-// lockChecker analyzes one function frame.
-type lockChecker struct {
-	pass    *Pass
-	pkg     *Package
-	netConn *types.Interface
-}
-
-// checkFuncBody runs the analysis over one frame and reports locks
-// still explicitly held when the function falls off the end.
-func (lc *lockChecker) checkFuncBody(body *ast.BlockStmt) {
-	env := make(lockEnv)
-	res := lc.checkStmts(body.List, env)
-	if res == flowFallThrough {
-		for k, v := range env {
-			if v == stHeld {
-				lc.pass.Reportf(body.Rbrace, "%s is still held when the function returns", lockName(k))
-			}
-		}
-	}
-}
-
-// checkStmts interprets a statement list, mutating env in place.
-func (lc *lockChecker) checkStmts(stmts []ast.Stmt, env lockEnv) flowResult {
-	for _, s := range stmts {
-		if res := lc.checkStmt(s, env); res == flowTerminated {
-			return flowTerminated
-		}
-	}
-	return flowFallThrough
-}
-
-func (lc *lockChecker) checkStmt(stmt ast.Stmt, env lockEnv) flowResult {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		lc.checkExprForIO(s.X, env)
-		if key, isLock, acquired := lc.lockOp(s.X); isLock {
-			if acquired {
-				env[key] = stHeld
-			} else {
-				delete(env, key)
-			}
-		}
-	case *ast.DeferStmt:
-		if key, ok := lc.deferredUnlock(s.Call); ok {
-			env[key] = stHeldDefer
-		}
-	case *ast.ReturnStmt:
-		lc.reportHeldAt(s.Pos(), env, "return")
-		return flowTerminated
-	case *ast.BranchStmt:
-		// break/continue/goto leave the current branch; the loop-balance
-		// check below covers the looping cases.
-		return flowTerminated
-	case *ast.IfStmt:
-		if s.Init != nil {
-			lc.checkStmt(s.Init, env)
-		}
-		lc.checkExprForIO(s.Cond, env)
-		thenEnv := env.clone()
-		thenRes := lc.checkStmts(s.Body.List, thenEnv)
-		elseEnv := env.clone()
-		elseRes := flowFallThrough
-		if s.Else != nil {
-			elseRes = lc.checkStmt(s.Else, elseEnv)
-		}
-		mergeBranches(env, branchEnd{thenEnv, thenRes}, branchEnd{elseEnv, elseRes})
-		if thenRes == flowTerminated && elseRes == flowTerminated {
-			return flowTerminated
-		}
-	case *ast.BlockStmt:
-		return lc.checkStmts(s.List, env)
-	case *ast.LabeledStmt:
-		return lc.checkStmt(s.Stmt, env)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return lc.checkBranchy(stmt, env)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			lc.checkStmt(s.Init, env)
-		}
-		lc.checkLoopBody(s.Body, env)
-	case *ast.RangeStmt:
-		lc.checkLoopBody(s.Body, env)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lc.checkExprForIO(e, env)
-		}
-	case *ast.SendStmt:
-		lc.reportSendHeld(s.Pos(), env, false)
-	case *ast.GoStmt:
-		// The spawned frame is checked separately; spawning itself does
-		// not block.
-	case *ast.DeclStmt:
-		// Declarations cannot change lock state.
-	}
-	return flowFallThrough
-}
-
-// branchEnd is the abstract state at the end of one branch.
-type branchEnd struct {
-	env lockEnv
-	res flowResult
-}
-
-// mergeBranches folds surviving branch states back into env.
-// Terminated branches already reported anything they had to and drop
-// out of the merge. Disagreement between surviving branches degrades
-// the lock to stAmbiguous (tracked but never reported).
-func mergeBranches(env lockEnv, branches ...branchEnd) {
-	var live []lockEnv
-	for _, b := range branches {
-		if b.res == flowFallThrough {
-			live = append(live, b.env)
-		}
-	}
-	if len(live) == 0 {
-		return // unreachable after the statement; env is irrelevant
-	}
-	keys := make(map[lockKey]bool)
-	for _, e := range live {
-		for k := range e {
-			keys[k] = true
-		}
-	}
-	for k := range env {
-		keys[k] = true
-	}
-	for k := range keys {
-		first, seen := live[0][k]
-		agree := true
-		for _, e := range live[1:] {
-			if v, ok := e[k]; ok != seen || v != first {
-				agree = false
-				break
-			}
-		}
-		switch {
-		case agree && !seen:
-			delete(env, k)
-		case agree:
-			env[k] = first
-		default:
-			env[k] = stAmbiguous
-		}
-	}
-}
-
-// checkBranchy handles switch/type-switch/select: each case body is a
-// branch over a copy of env.
-func (lc *lockChecker) checkBranchy(stmt ast.Stmt, env lockEnv) flowResult {
-	var clauses []ast.Stmt
-	hasDefault := false
-	blocking := false
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			lc.checkStmt(s.Init, env)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		clauses = s.Body.List
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-		for _, c := range clauses {
-			if comm, ok := c.(*ast.CommClause); ok && comm.Comm == nil {
-				hasDefault = true
-			}
-		}
-		blocking = !hasDefault
-	}
-	var ends []branchEnd
-	sawDefault := false
-	for _, c := range clauses {
-		be := branchEnd{env: env.clone()}
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				sawDefault = true
-			}
-			be.res = lc.checkStmts(cc.Body, be.env)
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				sawDefault = true
-			} else {
-				if send, ok := cc.Comm.(*ast.SendStmt); ok && blocking {
-					lc.reportSendHeld(send.Pos(), be.env, true)
+			},
+			iterEnd: func(body *ast.BlockStmt, entry, end heldSet) {
+				for _, l := range end {
+					if i := entry.find(l.lockOp); !l.ambiguous && (i < 0 || entry[i].deferred != l.deferred || entry[i].ambiguous) {
+						pass.Reportf(body.Pos(), "%s is acquired and not released within one loop iteration", lockName(l))
+					}
 				}
-				lc.checkStmt(cc.Comm, be.env)
-			}
-			be.res = lc.checkStmts(cc.Body, be.env)
-		}
-		ends = append(ends, be)
-	}
-	if !sawDefault {
-		// Without a default the zero-case path falls through unchanged
-		// (switch) — include the entry state as a surviving branch.
-		ends = append(ends, branchEnd{env: env.clone(), res: flowFallThrough})
-	}
-	mergeBranches(env, ends...)
-	for _, be := range ends {
-		if be.res == flowFallThrough {
-			return flowFallThrough
-		}
-	}
-	return flowTerminated
-}
-
-// checkLoopBody analyzes a loop body and requires the lock state to be
-// identical at entry and exit of one iteration.
-func (lc *lockChecker) checkLoopBody(body *ast.BlockStmt, env lockEnv) {
-	entry := env.clone()
-	res := lc.checkStmts(body.List, env)
-	if res == flowTerminated {
-		// The body always exits the loop; treat like a branch that ran
-		// once.
-		return
-	}
-	for k, v := range env {
-		if v == stAmbiguous {
-			continue
-		}
-		if ev, ok := entry[k]; !ok || ev != v {
-			lc.pass.Reportf(body.Pos(), "%s is acquired and not released within one loop iteration", lockName(k))
-			env[k] = stAmbiguous
-		}
-	}
-	for k, v := range entry {
-		if _, ok := env[k]; !ok && v == stHeld {
-			lc.pass.Reportf(body.Pos(), "%s held at loop entry is released inside the loop body", lockName(k))
-		}
-	}
-}
-
-// reportHeldAt flags explicitly-held locks at a function exit point.
-func (lc *lockChecker) reportHeldAt(pos token.Pos, env lockEnv, what string) {
-	for k, v := range env {
-		if v == stHeld {
-			lc.pass.Reportf(pos, "%s is held at %s without an Unlock on this path", lockName(k), what)
-		}
-	}
-}
-
-// reportSendHeld flags a blocking channel send while an exclusive lock
-// is held.
-func (lc *lockChecker) reportSendHeld(pos token.Pos, env lockEnv, inSelect bool) {
-	if key, held := env.anyExclusiveHeld(); held {
-		lc.pass.Reportf(pos, "channel send while %s is held: a full channel stalls every other lock holder", lockName(key))
-		_ = inSelect
-	}
-}
-
-// checkExprForIO flags net.Conn Read/Write calls made while an
-// exclusive lock is held. Only direct calls on a net.Conn-shaped
-// receiver count; buffered writers are deliberately out of scope.
-func (lc *lockChecker) checkExprForIO(expr ast.Expr, env lockEnv) {
-	if lc.netConn == nil || expr == nil {
-		return
-	}
-	key, heldExclusive := env.anyExclusiveHeld()
-	if !heldExclusive {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name != "Read" && sel.Sel.Name != "Write" {
-			return true
-		}
-		tv, ok := lc.pkg.Info.Types[sel.X]
-		if !ok || tv.Type == nil {
-			return true
-		}
-		if types.Implements(tv.Type, lc.netConn) || types.Implements(types.NewPointer(tv.Type), lc.netConn) {
-			lc.pass.Reportf(call.Pos(), "net.Conn %s while %s is held: peer-paced I/O under an exclusive lock", sel.Sel.Name, lockName(key))
-		}
-		return true
-	})
-}
-
-// lockOp recognizes mu.Lock()/mu.RLock()/mu.Unlock()/mu.RUnlock() on a
-// sync.Mutex or sync.RWMutex and returns the lock key, whether the
-// expression is a lock operation at all, and whether it acquires.
-func (lc *lockChecker) lockOp(expr ast.Expr) (key lockKey, isLock, acquired bool) {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return key, false, false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return key, false, false
-	}
-	var mode lockMode
-	switch sel.Sel.Name {
-	case "Lock", "Unlock":
-		mode = lockExclusive
-	case "RLock", "RUnlock":
-		mode = lockShared
-	default:
-		return key, false, false
-	}
-	tv, ok := lc.pkg.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return key, false, false
-	}
-	if !isNamedType(tv.Type, "sync", "Mutex") && !isNamedType(tv.Type, "sync", "RWMutex") {
-		return key, false, false
-	}
-	key = lockKey{expr: types.ExprString(sel.X), mode: mode}
-	acquired = sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"
-	return key, true, acquired
-}
-
-// deferredUnlock recognizes `defer mu.Unlock()` (or RUnlock), directly
-// or wrapped in an immediately-deferred closure.
-func (lc *lockChecker) deferredUnlock(call *ast.CallExpr) (lockKey, bool) {
-	if key, isLock, acquired := lc.lockOp(call); isLock && !acquired {
-		return key, true
-	}
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		var found lockKey
-		ok := false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if es, isExpr := n.(*ast.ExprStmt); isExpr {
-				if key, isLock, acquired := lc.lockOp(es.X); isLock && !acquired {
-					found, ok = key, true
-					return false
+				for _, l := range entry {
+					if !l.deferred && !l.ambiguous && end.find(l.lockOp) < 0 {
+						pass.Reportf(body.Pos(), "%s held at loop entry is released inside the loop body", lockName(l))
+					}
 				}
-			}
-			return true
-		})
-		return found, ok
+			},
+			send: func(pos token.Pos, held heldSet) {
+				if l, ok := exclusiveHeld(held); ok {
+					pass.Reportf(pos, "channel send while %s is held: a full channel stalls every other lock holder", lockName(l))
+				}
+			},
+			call: func(call *ast.CallExpr, held, _ heldSet) {
+				l, locked := exclusiveHeld(held)
+				sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !locked || netConn == nil || !isSel || (sel.Sel.Name != "Read" && sel.Sel.Name != "Write") {
+					return
+				}
+				if t := pkg.Info.TypeOf(sel.X); t != nil && (types.Implements(t, netConn) || types.Implements(types.NewPointer(t), netConn)) {
+					pass.Reportf(call.Pos(), "net.Conn %s while %s is held: peer-paced I/O under an exclusive lock", sel.Sel.Name, lockName(l))
+				}
+			},
+		}
+		eachFunc(pkg, func(fd *ast.FuncDecl) { walkFrame(pkg, ev, fd.Body, nil) })
 	}
-	return lockKey{}, false
 }
 
-// lockName renders a lock key for diagnostics.
-func lockName(k lockKey) string {
-	if k.mode == lockShared {
-		return k.expr + " (read lock)"
+// exclusiveHeld returns an exclusive lock the frame holds (a deferred
+// release still counts as held).
+func exclusiveHeld(held heldSet) (heldLock, bool) {
+	for _, l := range held {
+		if !l.shared && !l.ambiguous {
+			return l, true
+		}
 	}
-	return k.expr
+	return heldLock{}, false
+}
+
+// lockName renders a held lock for diagnostics.
+func lockName(l heldLock) string {
+	if l.shared {
+		return l.expr + " (read lock)"
+	}
+	return l.expr
 }
 
 // lookupNetConn finds the net.Conn interface through the package's
@@ -466,13 +103,9 @@ func lockName(k lockKey) string {
 // can appear).
 func lookupNetConn(pkg *Package) *types.Interface {
 	for _, imp := range pkg.Types.Imports() {
-		if imp.Path() != "net" {
-			continue
-		}
-		if obj, ok := imp.Scope().Lookup("Conn").(*types.TypeName); ok {
-			if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-				return iface
-			}
+		if obj, ok := imp.Scope().Lookup("Conn").(*types.TypeName); ok && imp.Path() == "net" {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
 		}
 	}
 	return nil

@@ -3,50 +3,33 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
 // lockorder: the pool, verdict cache, flight recorder, proxy, and
 // client each guard their state with their own mutex, and requests
-// cross all of them on one call path. Two call paths that take the
-// same pair of locks in opposite orders deadlock the daemon the first
-// time they interleave under load — the one failure mode the
-// lock-balance analyzer (lockcheck) cannot see, because each function
-// in the cycle is perfectly balanced on its own.
+// cross all of them on one call path. Two paths that take the same
+// pair of locks in opposite orders deadlock the daemon the first time
+// they interleave — invisible to lockcheck, since each function in the
+// cycle is balanced on its own.
 //
-// The analyzer harvests every lock acquisition module-wide, building
-// on lockcheck's lock-state interpretation: a branch-cloning walk of
-// each function tracks the set of held locks, and every acquisition
-// made while another lock is held contributes a directed edge
-// held→acquired. Edges are interprocedural: per-function summaries of
-// transitively acquired locks, computed callee-first along call-graph
-// SCCs, turn "calls f while holding A" into "acquires B while holding
-// A" when f (or anything it calls) locks B. Lock identity is
-// canonical across functions: pkg.Type.field for a mutex field (all
-// instances of a type share one node — the granularity lock ordering
-// is about), pkg.name for a package-level mutex; function-local
-// mutexes cannot participate in a cross-function cycle and are
-// skipped.
+// Over the shared lock model (lockstate.go), every acquisition made
+// while another canonical lock is held is an edge held→acquired.
+// Transitive acquisition summaries, computed callee-first along
+// call-graph SCCs, turn "calls f while holding A" into "acquires B
+// while holding A" when f (or anything it calls) locks B. Findings on
+// the global graph:
 //
-// Findings, from the assembled global lock-order graph:
-//
-//   - a cycle (two or more locks acquired in inconsistent orders) —
-//     a potential deadlock, reported once per participating edge at
-//     the acquisition that witnesses it;
+//   - a cycle (locks acquired in inconsistent orders), reported once
+//     per participating edge at the acquisition that witnesses it;
 //   - a self-edge (a lock acquired while already held, directly or
-//     through calls) — guaranteed self-deadlock for a Mutex and
-//     writer-starved deadlock for recursive RLock;
-//   - a cross-package nested acquisition (holding one subsystem's
-//     lock while taking another's) — legal today, but it is the raw
+//     through calls): self-deadlock for a Mutex, writer-starved
+//     deadlock for a recursive RLock;
+//   - a cross-package nested acquisition: legal today, but the raw
 //     material of tomorrow's cycle, so it must be visible and
 //     deliberately baselined with the intended order.
-//
-// Goroutine bodies start with an empty held set (their acquisitions
-// are concurrent, not nested), and deferred calls are not modeled —
-// a deferred unlock keeps its lock held to the end of the function,
-// which is exactly how the edge harvest should see it.
 
 // LockOrderAnalyzer returns the module-wide lock-order analyzer.
 func LockOrderAnalyzer() *Analyzer {
@@ -57,591 +40,145 @@ func LockOrderAnalyzer() *Analyzer {
 	}
 }
 
-// loNode is one canonical lock in the global graph.
-type loNode struct {
-	id      string // canonical identity
-	pkg     string // import path of the owning package
-	display string // short form used in diagnostics
-}
-
 // loEdge is one held→acquired edge with its first witness.
 type loEdge struct {
-	from, to string
+	from, to lockOp
 	pos      token.Pos
-	via      string // callee name for interprocedural edges, "" direct
+	via      string // " (via call to f)" for interprocedural edges
 }
 
-// loHeld is one entry of the held-lock stack.
-type loHeld struct {
-	id   string
-	read bool
-}
-
-// loEnv is the abstract lock state at one program point.
-type loEnv struct {
-	held []loHeld
-	dead bool // past a return: excluded from joins
-}
-
-func (e *loEnv) clone() *loEnv {
-	return &loEnv{held: append([]loHeld(nil), e.held...), dead: e.dead}
-}
-
-// loJoin merges two branch exits: a dead branch imposes nothing, and
-// a lock survives the join only if every live branch still holds it —
-// the under-approximation that keeps witness edges real.
-func loJoin(a, b *loEnv) *loEnv {
-	if a.dead {
-		return b
-	}
-	if b.dead {
-		return a
-	}
-	var held []loHeld
-	for _, h := range a.held {
-		for _, o := range b.held {
-			if o.id == h.id {
-				held = append(held, h)
-				break
-			}
-		}
-	}
-	return &loEnv{held: held}
-}
-
-// loCall is a static call made while locks were held (edge material)
-// or anywhere synchronously (summary material).
+// loCall is a static call and the canonical locks held across it.
 type loCall struct {
 	callee string
-	held   []loHeld
+	held   []lockOp
 	pos    token.Pos
 }
 
-// loAcq is one acquisition a function performs, directly or (in
-// transitive summaries) through its callees.
-type loAcq struct {
-	id   string
-	read bool
-	pos  token.Pos
+// addAcquire appends a to acqs unless its id is already there.
+func addAcquire(acqs *[]lockOp, a lockOp) bool {
+	if slices.ContainsFunc(*acqs, func(b lockOp) bool { return b.id == a.id }) {
+		return false
+	}
+	*acqs = append(*acqs, a)
+	return true
 }
 
-// loFacts is the harvest of one function body.
-type loFacts struct {
-	key      string
-	acquires []loAcq   // direct acquisitions, deduped by id
-	edges    []loEdge  // direct held→acquired edges
-	calls    []loCall  // synchronous static calls (held may be empty)
-	acqSeen  map[string]bool
+// canonicalHeld lists the caller's and the frame's locks that count as
+// held for ordering: not ambiguous, not local.
+func canonicalHeld(held, outer heldSet) []lockOp {
+	var out []lockOp
+	for _, l := range append(outer.clone(), held...) {
+		if l.id != "" && !l.ambiguous {
+			out = append(out, l.lockOp)
+		}
+	}
+	return out
 }
 
 func runLockOrder(pass *Pass) {
-	m := pass.Module
-	g := m.CallGraph()
+	g := pass.Module.CallGraph()
 
-	nodes := make(map[string]*loNode)
-	facts := make(map[string]*loFacts)
+	// Harvest each function's direct edges and calls; trans starts as
+	// its direct acquisitions.
+	edgesOf := make(map[string][]loEdge)
+	callsOf := make(map[string][]loCall)
+	trans := make(map[string][]lockOp)
 	for _, key := range g.order {
 		gf := g.Funcs[key]
-		h := &loHarvest{pkg: gf.Pkg, nodes: nodes, facts: &loFacts{key: key, acqSeen: make(map[string]bool)}}
-		env := &loEnv{}
-		h.stmts(env, gf.Decl.Body.List)
-		facts[key] = h.facts
+		acqs := trans[key]
+		walkFrame(gf.Pkg, &lockEvents{
+			acquire: func(op lockOp, pos token.Pos, held, outer heldSet) {
+				if op.id == "" {
+					return
+				}
+				for _, h := range canonicalHeld(held, outer) {
+					edgesOf[key] = append(edgesOf[key], loEdge{from: h, to: op, pos: pos})
+				}
+				addAcquire(&acqs, op)
+			},
+			call: func(call *ast.CallExpr, held, outer heldSet) {
+				if callee, ok := callTargetKey(gf.Pkg, call); ok {
+					callsOf[key] = append(callsOf[key], loCall{callee: callee, held: canonicalHeld(held, outer), pos: call.Pos()})
+				}
+			},
+			send:    func(token.Pos, heldSet) {},
+			exit:    func(token.Pos, heldSet, bool) {},
+			iterEnd: func(*ast.BlockStmt, heldSet, heldSet) {},
+		}, gf.Decl.Body, nil)
+		trans[key] = acqs
 	}
 
-	// Transitive acquisitions, callee-first; recursive components
-	// iterate to fixpoint (the sets only grow).
-	trans := make(map[string][]loAcq)
-	transSeen := make(map[string]map[string]bool)
-	add := func(key string, a loAcq) bool {
-		seen := transSeen[key]
-		if seen == nil {
-			seen = make(map[string]bool)
-			transSeen[key] = seen
-		}
-		if seen[a.id] {
-			return false
-		}
-		seen[a.id] = true
-		trans[key] = append(trans[key], a)
-		return true
-	}
+	// Close the summaries callee-first; recursive components iterate to
+	// fixpoint (the sets only grow).
 	for _, scc := range g.SCCs() {
 		for changed := true; changed; {
 			changed = false
 			for _, gf := range scc {
-				f := facts[gf.Key]
-				for _, a := range f.acquires {
-					if add(gf.Key, a) {
-						changed = true
-					}
-				}
-				for _, c := range f.calls {
+				acqs := trans[gf.Key]
+				for _, c := range callsOf[gf.Key] {
 					for _, a := range trans[c.callee] {
-						if add(gf.Key, a) {
-							changed = true
-						}
+						changed = addAcquire(&acqs, a) || changed
 					}
 				}
+				trans[gf.Key] = acqs
 			}
 		}
 	}
 
-	// Assemble the global graph: direct edges, then call edges.
-	type edgeKey struct{ from, to string }
-	edgeIdx := make(map[edgeKey]*loEdge)
-	var edges []*loEdge
+	// Assemble the global graph, first witness per edge: each
+	// function's direct edges, then its call edges.
+	var edges []loEdge
+	succ := make(map[string][]string)
 	record := func(e loEdge) {
-		k := edgeKey{e.from, e.to}
-		if _, ok := edgeIdx[k]; ok {
-			return
+		if !slices.Contains(succ[e.from.id], e.to.id) {
+			succ[e.from.id] = append(succ[e.from.id], e.to.id)
+			edges = append(edges, e)
 		}
-		cp := e
-		edgeIdx[k] = &cp
-		edges = append(edges, &cp)
 	}
 	for _, key := range g.order {
-		f := facts[key]
-		for _, e := range f.edges {
+		for _, e := range edgesOf[key] {
 			record(e)
 		}
-		for _, c := range f.calls {
-			if len(c.held) == 0 {
-				continue
-			}
-			callee := g.Funcs[c.callee]
-			if callee == nil {
-				continue
-			}
+		for _, c := range callsOf[key] {
 			for _, a := range trans[c.callee] {
 				for _, h := range c.held {
-					record(loEdge{from: h.id, to: a.id, pos: c.pos, via: callee.Decl.Name.Name})
+					record(loEdge{from: h, to: a, pos: c.pos, via: " (via call to " + g.Funcs[c.callee].Decl.Name.Name + ")"})
 				}
 			}
 		}
 	}
 
-	// Condense the lock graph to find cycles.
-	inCycle := lockGraphCycles(edges)
-
-	display := func(id string) string {
-		if n := nodes[id]; n != nil {
-			return n.display
+	// Locks in one multi-node strongly connected component are a cycle.
+	cycleOf := make(map[string]int) // 1-based index into cycles
+	var cycles []string
+	for _, comp := range stronglyConnected(slices.Sorted(maps.Keys(succ)), func(id string) []string { return succ[id] }) {
+		if len(comp) < 2 {
+			continue
 		}
-		return id
+		parts := make([]string, 0, len(comp)+1)
+		for _, id := range append(comp, comp[0]) {
+			parts = append(parts, shortLock(id))
+		}
+		cycles = append(cycles, strings.Join(parts, " → "))
+		for _, id := range comp {
+			cycleOf[id] = len(cycles)
+		}
 	}
+
 	for _, e := range edges {
-		via := ""
-		if e.via != "" {
-			via = " (via call to " + e.via + ")"
-		}
+		from, to, c := shortLock(e.from.id), shortLock(e.to.id), cycleOf[e.from.id]
 		switch {
-		case e.from == e.to:
-			pass.Reportf(e.pos, "lock %s acquired while already held%s: recursive acquisition deadlocks",
-				display(e.from), via)
-		case inCycle[e.from] != 0 && inCycle[e.from] == inCycle[e.to]:
-			cyc := cycleDesc(inCycle, inCycle[e.from], display)
-			pass.Reportf(e.pos, "acquiring %s while holding %s%s creates a lock-order cycle: %s",
-				display(e.to), display(e.from), via, cyc)
-		case nodes[e.from] != nil && nodes[e.to] != nil && nodes[e.from].pkg != nodes[e.to].pkg:
-			pass.Reportf(e.pos, "%s acquired while holding %s%s: cross-subsystem nested acquisition; this order is now load-bearing",
-				display(e.to), display(e.from), via)
+		case e.from.id == e.to.id:
+			pass.Reportf(e.pos, "lock %s acquired while already held%s: recursive acquisition deadlocks", from, e.via)
+		case c != 0 && c == cycleOf[e.to.id]:
+			pass.Reportf(e.pos, "acquiring %s while holding %s%s creates a lock-order cycle: %s", to, from, e.via, cycles[c-1])
+		case e.from.pkg != e.to.pkg:
+			pass.Reportf(e.pos, "%s acquired while holding %s%s: cross-subsystem nested acquisition; this order is now load-bearing", to, from, e.via)
 		}
 	}
 }
 
-// lockGraphCycles returns, for every lock in a multi-node strongly
-// connected component of the edge graph, a nonzero component id.
-func lockGraphCycles(edges []*loEdge) map[string]int {
-	adj := make(map[string][]string)
-	var order []string
-	seenNode := make(map[string]bool)
-	node := func(id string) {
-		if !seenNode[id] {
-			seenNode[id] = true
-			order = append(order, id)
-		}
-	}
-	for _, e := range edges {
-		node(e.from)
-		node(e.to)
-		adj[e.from] = append(adj[e.from], e.to)
-	}
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	next := 0
-	comp := make(map[string]int)
-	compN := 0
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, ok := index[w]; !ok {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			compN++
-			var members []string
-			for {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[top] = false
-				members = append(members, top)
-				if top == v {
-					break
-				}
-			}
-			if len(members) > 1 {
-				for _, mb := range members {
-					comp[mb] = compN
-				}
-			}
-		}
-	}
-	for _, v := range order {
-		if _, ok := index[v]; !ok {
-			strong(v)
-		}
-	}
-	return comp
-}
-
-// cycleDesc renders one cycle's locks as a deterministic path.
-func cycleDesc(comp map[string]int, id int, display func(string) string) string {
-	var members []string
-	for k, c := range comp {
-		if c == id {
-			members = append(members, k)
-		}
-	}
-	sort.Strings(members)
-	parts := make([]string, 0, len(members)+1)
-	for _, mb := range members {
-		parts = append(parts, display(mb))
-	}
-	parts = append(parts, display(members[0]))
-	return strings.Join(parts, " → ")
-}
-
-// loHarvest walks one function body tracking held locks.
-type loHarvest struct {
-	pkg   *Package
-	nodes map[string]*loNode
-	facts *loFacts
-}
-
-func (h *loHarvest) stmts(env *loEnv, list []ast.Stmt) {
-	for _, s := range list {
-		h.stmt(env, s)
-	}
-}
-
-func (h *loHarvest) stmt(env *loEnv, s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		h.stmts(env, s.List)
-	case *ast.LabeledStmt:
-		h.stmt(env, s.Stmt)
-	case *ast.ExprStmt:
-		h.expr(env, s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			h.expr(env, e)
-		}
-		for _, e := range s.Lhs {
-			h.expr(env, e)
-		}
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				h.expr(env, e)
-				return false
-			}
-			return true
-		})
-	case *ast.DeferStmt:
-		// Deferred unlocks run at return: the lock stays held for the
-		// rest of the body, which the env already models by not
-		// releasing it. Other deferred work runs outside any modeled
-		// order and is skipped.
-	case *ast.GoStmt:
-		// The goroutine's acquisitions are concurrent, not nested:
-		// harvest its body with nothing held.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			h.stmts(&loEnv{}, lit.Body.List)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			h.expr(env, e)
-		}
-		env.dead = true
-	case *ast.IfStmt:
-		h.stmt(env, s.Init)
-		h.expr(env, s.Cond)
-		thenEnv := env.clone()
-		h.stmts(thenEnv, s.Body.List)
-		elseEnv := env.clone()
-		h.stmt(elseEnv, s.Else)
-		*env = *loJoin(thenEnv, elseEnv)
-	case *ast.ForStmt:
-		h.stmt(env, s.Init)
-		if s.Cond != nil {
-			h.expr(env, s.Cond)
-		}
-		bodyEnv := env.clone()
-		h.stmts(bodyEnv, s.Body.List)
-		h.stmt(bodyEnv, s.Post)
-		*env = *loJoin(env, bodyEnv)
-	case *ast.RangeStmt:
-		h.expr(env, s.X)
-		bodyEnv := env.clone()
-		h.stmts(bodyEnv, s.Body.List)
-		*env = *loJoin(env, bodyEnv)
-	case *ast.SwitchStmt:
-		h.stmt(env, s.Init)
-		if s.Tag != nil {
-			h.expr(env, s.Tag)
-		}
-		h.clauses(env, s.Body.List, false)
-	case *ast.TypeSwitchStmt:
-		h.stmt(env, s.Init)
-		h.clauses(env, s.Body.List, false)
-	case *ast.SelectStmt:
-		h.clauses(env, s.Body.List, true)
-	default:
-		// break/continue/goto and the rest: no lock effect modeled.
-	}
-}
-
-func (h *loHarvest) clauses(env *loEnv, list []ast.Stmt, isSelect bool) {
-	out := env.clone()
-	out.dead = true
-	sawDefault := false
-	for _, c := range list {
-		cl := env.clone()
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				sawDefault = true
-			}
-			for _, e := range cc.List {
-				h.expr(cl, e)
-			}
-			h.stmts(cl, cc.Body)
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				sawDefault = true
-			} else {
-				h.stmt(cl, cc.Comm)
-			}
-			h.stmts(cl, cc.Body)
-		}
-		out = loJoin(out, cl)
-	}
-	if !sawDefault && !isSelect {
-		out = loJoin(out, env)
-	}
-	*env = *out
-}
-
-// expr walks an expression applying lock operations and recording
-// static calls in evaluation-ish order.
-func (h *loHarvest) expr(env *loEnv, e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal that is not invoked here runs in an unknown
-			// context; harvest it with nothing held.
-			h.stmts(&loEnv{}, n.Body.List)
-			return false
-		case *ast.CallExpr:
-			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-				// Immediately-invoked literal: runs in place under the
-				// current held set.
-				for _, a := range n.Args {
-					h.expr(env, a)
-				}
-				h.stmts(env, lit.Body.List)
-				return false
-			}
-			if id, read, acquire, ok := h.lockOp(n); ok {
-				if acquire {
-					h.acquire(env, id, read, n.Pos())
-				} else {
-					h.release(env, id)
-				}
-				return false
-			}
-			if key, ok := callTargetKey(h.pkg, n); ok {
-				h.facts.calls = append(h.facts.calls, loCall{
-					callee: key,
-					held:   append([]loHeld(nil), env.held...),
-					pos:    n.Pos(),
-				})
-			}
-		}
-		return true
-	})
-}
-
-func (h *loHarvest) acquire(env *loEnv, id string, read bool, pos token.Pos) {
-	for _, held := range env.held {
-		h.facts.edges = append(h.facts.edges, loEdge{from: held.id, to: id, pos: pos})
-	}
-	// Re-acquiring a lock already on the stack is itself a self-edge
-	// (caught above since it is in held); still push it so the release
-	// pairs up.
-	env.held = append(env.held, loHeld{id: id, read: read})
-	if !h.facts.acqSeen[id] {
-		h.facts.acqSeen[id] = true
-		h.facts.acquires = append(h.facts.acquires, loAcq{id: id, read: read, pos: pos})
-	}
-}
-
-func (h *loHarvest) release(env *loEnv, id string) {
-	for i := len(env.held) - 1; i >= 0; i-- {
-		if env.held[i].id == id {
-			env.held = append(env.held[:i], env.held[i+1:]...)
-			return
-		}
-	}
-}
-
-// lockOp recognizes calls to (RW)Mutex Lock/RLock/Unlock/RUnlock with
-// a canonical lock identity; read reports the shared flavor, acquire
-// distinguishes lock from unlock.
-func (h *loHarvest) lockOp(call *ast.CallExpr) (id string, read, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		read, acquire = false, true
-	case "RLock":
-		read, acquire = true, true
-	case "Unlock":
-		read, acquire = false, false
-	case "RUnlock":
-		read, acquire = true, false
-	default:
-		return "", false, false, false
-	}
-	fn, isFn := h.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn {
-		return "", false, false, false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil || !(isNamedType(recv.Type(), "sync", "Mutex") || isNamedType(recv.Type(), "sync", "RWMutex")) {
-		return "", false, false, false
-	}
-	id, ok = h.canonicalLock(sel)
-	return id, read, acquire, ok
-}
-
-// canonicalLock names the mutex behind x.mu.Lock() (or s.Lock() via an
-// embedded mutex) with a cross-function identity: pkg.Type.field for
-// fields — one node per declaring type — or pkg.name for a
-// package-level mutex. Function-local mutexes have no cross-function
-// identity and return ok=false.
-func (h *loHarvest) canonicalLock(lockSel *ast.SelectorExpr) (string, bool) {
-	reg := func(id, pkgPath string) (string, bool) {
-		if h.nodes[id] == nil {
-			short := id
-			if i := strings.LastIndex(id, "/"); i >= 0 {
-				short = id[i+1:]
-			}
-			h.nodes[id] = &loNode{id: id, pkg: pkgPath, display: short}
-		}
-		return id, true
-	}
-	// The mutex expression: x.mu in x.mu.Lock(), s in s.Lock().
-	switch x := ast.Unparen(lockSel.X).(type) {
-	case *ast.Ident:
-		obj := h.pkg.Info.Uses[x]
-		if v, isVar := obj.(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return reg(v.Pkg().Path()+"."+v.Name(), v.Pkg().Path())
-		}
-		// A local identifier: either a truly local mutex (skip) or the
-		// receiver of an embedded-mutex method call (s.Lock()): resolve
-		// through the method selection's field path.
-		if s, okSel := h.pkg.Info.Selections[lockSel]; okSel && s.Kind() == types.MethodVal && len(s.Index()) > 1 {
-			return h.embeddedLock(s, reg)
-		}
-		return "", false
-	case *ast.SelectorExpr:
-		// Package-level mutex of another package: pkg.mu.Lock().
-		if id, okID := ast.Unparen(x.X).(*ast.Ident); okID {
-			if _, isPkg := h.pkg.Info.Uses[id].(*types.PkgName); isPkg {
-				if v, isVar := h.pkg.Info.Uses[x.Sel].(*types.Var); isVar && v.Pkg() != nil {
-					return reg(v.Pkg().Path()+"."+v.Name(), v.Pkg().Path())
-				}
-				return "", false
-			}
-		}
-		// Field mutex: identity is the declaring type of the selection.
-		if s, okSel := h.pkg.Info.Selections[x]; okSel && s.Kind() == types.FieldVal {
-			t := s.Recv()
-			if p, isPtr := types.Unalias(t).(*types.Pointer); isPtr {
-				t = p.Elem()
-			}
-			named, isNamed := types.Unalias(t).(*types.Named)
-			if !isNamed || named.Obj().Pkg() == nil {
-				return "", false
-			}
-			pkgPath := named.Obj().Pkg().Path()
-			return reg(pkgPath+"."+named.Obj().Name()+"."+s.Obj().Name(), pkgPath)
-		}
-		return "", false
-	}
-	// Embedded mutex behind a non-ident receiver expression.
-	if s, okSel := h.pkg.Info.Selections[lockSel]; okSel && s.Kind() == types.MethodVal && len(s.Index()) > 1 {
-		return h.embeddedLock(s, reg)
-	}
-	return "", false
-}
-
-// embeddedLock names s.Lock()'s mutex through the selection's implicit
-// field path: pkg.Type.<embedded field chain>.
-func (h *loHarvest) embeddedLock(s *types.Selection, reg func(id, pkg string) (string, bool)) (string, bool) {
-	t := s.Recv()
-	if p, isPtr := types.Unalias(t).(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := types.Unalias(t).(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	names := []string{named.Obj().Name()}
-	cur := types.Type(named)
-	idx := s.Index()
-	for _, fi := range idx[:len(idx)-1] {
-		st, isStruct := types.Unalias(cur.Underlying()).(*types.Struct)
-		if !isStruct || fi >= st.NumFields() {
-			return "", false
-		}
-		field := st.Field(fi)
-		names = append(names, field.Name())
-		cur = field.Type()
-		if p, isPtr := types.Unalias(cur).(*types.Pointer); isPtr {
-			cur = p.Elem()
-		}
-	}
-	pkgPath := named.Obj().Pkg().Path()
-	return reg(pkgPath+"."+strings.Join(names, "."), pkgPath)
+// shortLock is a lock id without its import path's directories.
+func shortLock(id string) string {
+	return id[strings.LastIndex(id, "/")+1:]
 }
