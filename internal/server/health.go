@@ -35,7 +35,7 @@ func (s *Server) Health() HealthStatus {
 	if capacity > 0 && depth >= capacity {
 		st.Status = HealthOverloaded
 	}
-	if s.isDraining() {
+	if s.draining.Load() {
 		st.Status = HealthDraining
 	}
 	return st

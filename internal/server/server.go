@@ -95,11 +95,13 @@ type Server struct {
 	connsTotal  *telemetry.Counter
 	badFrames   *telemetry.Counter
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	// draining is set by Close before it wakes the readers; readers
+	// check it without the mutex after every deadline arm.
+	draining atomic.Bool
 
 	connWG sync.WaitGroup
 }
@@ -221,7 +223,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
 	// Unblock every reader stuck in a frame read: readers notice the
 	// shutdown when the deadline fires and exit through their drain
@@ -238,13 +240,6 @@ func (s *Server) Close() error {
 	s.connWG.Wait()
 	s.pool.Close()
 	return err
-}
-
-// isDraining reports whether shutdown has begun.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // handleConn runs one connection: this goroutine reads frames and
@@ -299,6 +294,11 @@ reading:
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+			// Close wakes readers by setting their deadline to now; an
+			// arm that landed after that wakeup must not outlast it.
+			if s.draining.Load() {
+				_ = conn.SetReadDeadline(time.Now())
+			}
 		}
 		if cap(buf) > maxKeptReadBuf {
 			buf = nil
@@ -306,7 +306,7 @@ reading:
 		typ, id, payload, err := readFrameInto(br, maxBody, &buf)
 		if err != nil && !errors.Is(err, errFrameTooLarge) {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.isDraining() {
+			if errors.As(err, &ne) && ne.Timeout() && !s.draining.Load() {
 				s.cfg.Logf("server: %s: idle timeout", conn.RemoteAddr())
 			}
 			break
@@ -353,7 +353,7 @@ reading:
 				fmt.Sprintf("payload %d exceeds maximum %d", len(payload), s.cfg.MaxPayload)))
 			continue
 		}
-		if s.isDraining() {
+		if s.draining.Load() {
 			respond(appendError(nil, id, CodeShuttingDown, ErrShuttingDown.Error()))
 			continue
 		}

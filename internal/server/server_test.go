@@ -332,6 +332,102 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// armListener wraps every accepted connection in an armConn.
+type armListener struct {
+	net.Listener
+	conns chan *armConn
+}
+
+func (l *armListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	sc := &armConn{Conn: c, armed: make(chan struct{}), woken: make(chan struct{})}
+	l.conns <- sc
+	return sc, nil
+}
+
+// armConn holds the reader's second read-deadline arm (the one for
+// the frame after the first) until Close has set the deadline to now,
+// then lets it through: the interleaving in which re-arming overwrote
+// Close's wakeup and the reader slept the full ReadTimeout.
+type armConn struct {
+	net.Conn
+	mu       sync.Mutex
+	arms     int
+	armed    chan struct{} // closed when the held arm arrives
+	woken    chan struct{} // closed once Close's wakeup is applied
+	wakeOnce sync.Once
+}
+
+func (c *armConn) SetReadDeadline(t time.Time) error {
+	if !t.After(time.Now()) {
+		err := c.Conn.SetReadDeadline(t)
+		c.wakeOnce.Do(func() { close(c.woken) })
+		return err
+	}
+	c.mu.Lock()
+	c.arms++
+	second := c.arms == 2
+	c.mu.Unlock()
+	if second {
+		close(c.armed)
+		<-c.woken
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestCloseWakesReaderBetweenFrames pins the drain race: Close must
+// return promptly even when a reader re-arms its read deadline right
+// after Close set it to now.
+func TestCloseWakesReaderBetweenFrames(t *testing.T) {
+	det, err := core.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Detector: det, ReadTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &armListener{Listener: inner, conns: make(chan *armConn, 1)}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+
+	c, err := client.Dial(inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Scan(benignPayloads(t, 17, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	sc := <-ln.conns
+	select {
+	case <-sc.armed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader never re-armed its read deadline for the next frame")
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked 2s into a 10s ReadTimeout: the reader re-armed over the wakeup")
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve returned %v after Close", err)
+	}
+}
+
 // TestPoolDrainServesQueuedWork: jobs accepted before Close are served
 // during the drain, never dropped.
 func TestPoolDrainServesQueuedWork(t *testing.T) {
