@@ -84,10 +84,12 @@ bench-smoke:
 	$(GO) run ./cmd/mellint -verify -verify-budget 30s -baseline lint.baseline ./...
 
 # bench-guard re-measures the engine and content-pipeline benchmarks
-# and exits nonzero if any ns/op regressed more than 20% — or any
-# allocs/op rose — against the committed BENCH_engine.json and
-# BENCH_content.json. A failing first pass is re-measured once and
-# judged on the better run (CI machines are noisy).
+# and exits nonzero if any ns/op, divided by the same run's frozen
+# ScanReference (engine_scan_reference_4k), regressed more than 20%
+# against the same ratio in the committed BENCH_engine.json and
+# BENCH_content.json — or any allocs/op rose. Judging the ratio keeps a
+# uniformly slower host from reading as a regression. A failing first
+# pass is re-measured once and judged on the better run.
 bench-guard:
 	$(GO) run ./cmd/melbench -exp guard
 

@@ -22,7 +22,7 @@
 //	melbench -exp sizes    ablation: input-size scaling of n and tau
 //	melbench -exp exploit  end-to-end exploit chain vs the vulnerable service
 //	melbench -exp engine   scan-engine throughput; writes BENCH_engine.json
-//	melbench -exp guard    engine+content bench vs committed artifacts; fails on regression
+//	melbench -exp guard    engine+content bench vs committed artifacts, ns/op relative to ScanReference; fails on regression
 //	melbench -exp content  content pipeline triage/decode bench; writes BENCH_content.json
 package main
 
@@ -140,7 +140,7 @@ func run(args []string, w io.Writer) error {
 			if *guardContent == "" {
 				return nil
 			}
-			return experiments.ContentGuard(w, *guardContent, *seed)
+			return experiments.ContentGuard(w, *guardContent, *guardBase, *seed)
 		},
 		"content": func() error {
 			_, err := experiments.ContentBench(w, *contentOut, *seed)

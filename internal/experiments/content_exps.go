@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/encoder"
+	"repro/internal/mel"
 	"repro/internal/shellcode"
 )
 
@@ -139,24 +140,8 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 	}
 	report.TriageClearRate = float64(cleared) / float64(len(mixed))
 
-	measure := func(name string, nbytes int, f func(b *testing.B)) EngineBenchResult {
-		r := testing.Benchmark(f)
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		mbPerSec := 0.0
-		if nsPerOp > 0 {
-			mbPerSec = float64(nbytes) / nsPerOp * 1e9 / 1e6
-		}
-		return EngineBenchResult{
-			Name:        name,
-			NsPerOp:     nsPerOp,
-			MBPerSec:    mbPerSec,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-
 	tri := pipe.Triage()
-	triageRes := measure("triage_assess_4k", len(benign), func(b *testing.B) {
+	triageRes := benchResult("triage_assess_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if r := tri.Assess(benign); r.Score < 0 {
@@ -165,7 +150,7 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 		}
 	})
 	gzBody := content.EncodeGzip(benign)
-	decodeRes := measure("decode_views_gzip_4k", len(benign), func(b *testing.B) {
+	decodeRes := benchResult("decode_views_gzip_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var total int
@@ -181,7 +166,7 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 		}
 	})
 	// The reject path: one plain-text case, which sniffs no layer.
-	textRes := measure("decode_views_text_4k", len(benign), func(b *testing.B) {
+	textRes := benchResult("decode_views_text_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for range dec.Views(benign, 0) {
@@ -189,7 +174,7 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 			}
 		}
 	})
-	pipelineRes := measure("pipeline_mixed_4k", mixedBytes, func(b *testing.B) {
+	pipelineRes := benchResult("pipeline_mixed_4k", mixedBytes, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, body := range mixed {
@@ -199,7 +184,7 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 			}
 		}
 	})
-	baselineRes := measure("baseline_scan_all_4k", mixedBytes, func(b *testing.B) {
+	baselineRes := benchResult("baseline_scan_all_4k", mixedBytes, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// No triage gate: MEL on every payload and every decoded view.
@@ -250,10 +235,20 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 
 // ContentGuard re-measures the content benchmarks and fails if any
 // regressed against the committed BENCH_content.json artifact, under
-// the same 20%-ns/op / zero-alloc-growth rules as the engine guard.
-func ContentGuard(w io.Writer, committedPath string, seed uint64) error {
-	return guardBench(w, committedPath, func() ([]EngineBenchResult, error) {
+// the same rules as the engine guard: ns/op as a multiple of a
+// ScanReference measured in the same run, against the committed
+// content ns/op as a multiple of the ScanReference committed in
+// enginePath; allocs/op may not rise.
+func ContentGuard(w io.Writer, committedPath, enginePath string, seed uint64) error {
+	return guardBench(w, committedPath, enginePath, func() ([]EngineBenchResult, error) {
 		report, err := ContentBench(w, "", seed)
-		return report.Results, err
+		if err != nil {
+			return nil, err
+		}
+		benign, err := benchBenign(seed)
+		if err != nil {
+			return nil, err
+		}
+		return append(report.Results, referenceResult(mel.NewEngine(mel.DAWN()), benign)), nil
 	})
 }

@@ -47,6 +47,50 @@ type EngineBenchReport struct {
 	StreamCarryReuse float64 `json:"stream_carry_reuse"`
 }
 
+// referenceName is the frozen ScanReference benchmark. The bench guard
+// judges every other ns/op as a multiple of it, measured in the same
+// run, so a uniformly slower host does not read as a regression.
+const referenceName = "engine_scan_reference_4k"
+
+// benchResult runs f under testing.Benchmark and reports it as name,
+// with throughput over nbytes per op.
+func benchResult(name string, nbytes int, f func(b *testing.B)) EngineBenchResult {
+	r := testing.Benchmark(f)
+	nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
+	mbPerSec := 0.0
+	if nsPerOp > 0 {
+		mbPerSec = float64(nbytes) / nsPerOp * 1e9 / 1e6
+	}
+	return EngineBenchResult{
+		Name:        name,
+		NsPerOp:     nsPerOp,
+		MBPerSec:    mbPerSec,
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}
+}
+
+// benchBenign is the 4 KB benign text case the engine benchmarks scan.
+func benchBenign(seed uint64) ([]byte, error) {
+	cases, err := corpus.Dataset(seed, 8, 4096)
+	if err != nil {
+		return nil, err
+	}
+	return cases[0].Data[:4000], nil
+}
+
+// referenceResult measures ScanReference on benign.
+func referenceResult(eng *mel.Engine, benign []byte) EngineBenchResult {
+	return benchResult(referenceName, len(benign), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.ScanReference(benign); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // EngineBench measures MEL-engine scan throughput — optimized engine vs
 // the retained reference, plus the worm positive case and the windowed
 // stream path — and writes the JSON artifact to outPath ("" skips the
@@ -70,25 +114,9 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 
 	eng := mel.NewEngine(mel.DAWN())
 
-	measure := func(name string, nbytes int, f func(b *testing.B)) EngineBenchResult {
-		r := testing.Benchmark(f)
-		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-		mbPerSec := 0.0
-		if nsPerOp > 0 {
-			mbPerSec = float64(nbytes) / nsPerOp * 1e9 / 1e6
-		}
-		return EngineBenchResult{
-			Name:        name,
-			NsPerOp:     nsPerOp,
-			MBPerSec:    mbPerSec,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-
 	report := EngineBenchReport{Workload: "4 KB benign text case, DAWN rules, sequential mode"}
 
-	optimized := measure("engine_scan_benign_4k", len(benign), func(b *testing.B) {
+	optimized := benchResult("engine_scan_benign_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Scan(benign); err != nil {
@@ -96,16 +124,9 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 			}
 		}
 	})
-	reference := measure("engine_scan_reference_4k", len(benign), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.ScanReference(benign); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	reference := referenceResult(eng, benign)
 	rec := tracing.NewRecorder(tracing.RecorderConfig{})
-	traced := measure("engine_scan_traced_4k", len(benign), func(b *testing.B) {
+	traced := benchResult("engine_scan_traced_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// The full per-scan tracing cost as the server pays it: trace
@@ -123,7 +144,7 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	// SampleEvery 1 defeats the benign sampler, so this is the worst
 	// case — every scan encodes and publishes.
 	journal := events.New(events.Config{Capacity: events.DefaultCapacity, SampleEvery: 1})
-	eventsRes := measure("engine_scan_events_4k", len(benign), func(b *testing.B) {
+	eventsRes := benchResult("engine_scan_events_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tr := tracing.New(tracing.TraceID{}, len(benign))
@@ -149,7 +170,7 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 			journal.Record(&ev)
 		}
 	})
-	wormRes := measure("engine_scan_worm_4k", len(wormCase), func(b *testing.B) {
+	wormRes := benchResult("engine_scan_worm_4k", len(wormCase), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Scan(wormCase); err != nil {
@@ -169,7 +190,7 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	if len(big) > 64<<10 {
 		big = big[:64<<10]
 	}
-	big64Res := measure("engine_scan_benign_64k", len(big), func(b *testing.B) {
+	big64Res := benchResult("engine_scan_benign_64k", len(big), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Scan(big); err != nil {
@@ -182,7 +203,7 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	for off := 512; off+512 <= len(mixed); off += 1024 {
 		rng.Read(mixed[off : off+512])
 	}
-	mixedRes := measure("engine_scan_mixed_4k", len(mixed), func(b *testing.B) {
+	mixedRes := benchResult("engine_scan_mixed_4k", len(mixed), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Scan(mixed); err != nil {
@@ -206,7 +227,7 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	if _, err := scanner.Write(stream); err != nil { // warm caches and pools
 		return EngineBenchReport{}, err
 	}
-	streamRes := measure("stream_scanner_throughput", len(stream), func(b *testing.B) {
+	streamRes := benchResult("stream_scanner_throughput", len(stream), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := scanner.Write(stream); err != nil {
@@ -255,54 +276,72 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 
 // BenchGuard re-measures the engine benchmarks and fails if any named
 // benchmark regressed against the committed BENCH_engine.json artifact:
-// ns/op more than 20% above the committed value, or any rise in
+// its ns/op as a multiple of the same run's ScanReference more than 20%
+// above the committed artifact's own multiple, or any rise in
 // allocs/op. Benchmarks present in only one of the two reports are
 // noted but not judged. A failing first pass is measured once more and
 // judged on the better of the two runs, so a single co-tenant noise
 // spike does not fail CI.
 func BenchGuard(w io.Writer, committedPath string, seed uint64) error {
-	return guardBench(w, committedPath, func() ([]EngineBenchResult, error) {
+	return guardBench(w, committedPath, committedPath, func() ([]EngineBenchResult, error) {
 		report, err := EngineBench(w, "", seed)
 		return report.Results, err
 	})
 }
 
 // guardBench is the regression judge shared by the engine and content
-// guards: measure re-runs one benchmark family, and any named result
-// whose ns/op exceeds the committed artifact's by more than 20% — or
-// whose allocs/op rose at all — is a violation. A failing first pass is
-// measured once more and judged on the better of the two runs per
-// benchmark, so a single co-tenant noise spike does not fail CI.
-func guardBench(w io.Writer, committedPath string, measure func() ([]EngineBenchResult, error)) error {
-	blob, err := os.ReadFile(committedPath)
+// guards. measure re-runs one benchmark family and must include a
+// ScanReference result; referencePath is the artifact holding the
+// committed one. Each result's ns/op is divided by its own run's
+// reference and compared with the committed ratio: more than 20%
+// above it — or any rise in allocs/op — is a violation. A failing
+// first pass is measured once more and judged on the better of the two
+// runs per benchmark.
+func guardBench(w io.Writer, committedPath, referencePath string, measure func() ([]EngineBenchResult, error)) error {
+	base, err := readBenchResults(committedPath)
 	if err != nil {
-		return fmt.Errorf("bench-guard: read committed artifact: %w", err)
+		return err
 	}
-	// Every bench artifact carries its results under the same key; the
-	// family-specific fields are not judged.
-	var committed struct {
-		Results []EngineBenchResult `json:"results"`
+	refBase, err := readBenchResults(referencePath)
+	if err != nil {
+		return err
 	}
-	if err := json.Unmarshal(blob, &committed); err != nil {
-		return fmt.Errorf("bench-guard: parse %s: %w", committedPath, err)
-	}
-	base := make(map[string]EngineBenchResult, len(committed.Results))
-	for _, r := range committed.Results {
-		base[r.Name] = r
+	committedRef := refBase[referenceName].NsPerOp
+	if committedRef <= 0 {
+		return fmt.Errorf("bench-guard: %s has no %s result", referencePath, referenceName)
 	}
 
-	judge := func(results []EngineBenchResult) []string {
-		var violations []string
+	// ratios turns one run into ns/op per reference ns/op by name.
+	ratios := func(results []EngineBenchResult) (map[string]EngineBenchResult, error) {
+		out := make(map[string]EngineBenchResult, len(results))
 		for _, r := range results {
+			out[r.Name] = r
+		}
+		ref := out[referenceName].NsPerOp
+		if ref <= 0 {
+			return nil, fmt.Errorf("bench-guard: run measured no %s", referenceName)
+		}
+		for name, r := range out {
+			r.NsPerOp /= ref
+			out[name] = r
+		}
+		return out, nil
+	}
+	judge := func(results []EngineBenchResult, run map[string]EngineBenchResult) []string {
+		var violations []string
+		for _, res := range results {
+			r := run[res.Name]
 			c, ok := base[r.Name]
 			if !ok {
-				fmt.Fprintf(w, "  %-28s no committed baseline; skipped\n", r.Name)
+				if r.Name != referenceName {
+					fmt.Fprintf(w, "  %-28s no committed baseline; skipped\n", r.Name)
+				}
 				continue
 			}
-			if limit := c.NsPerOp * 1.20; r.NsPerOp > limit {
+			if want := c.NsPerOp / committedRef; r.NsPerOp > want*1.20 {
 				violations = append(violations, fmt.Sprintf(
-					"%s: %.0f ns/op exceeds committed %.0f by more than 20%%",
-					r.Name, r.NsPerOp, c.NsPerOp))
+					"%s: %.4f× %s exceeds committed %.4f× by more than 20%%",
+					r.Name, r.NsPerOp, referenceName, want))
 			}
 			if r.AllocsPerOp > c.AllocsPerOp {
 				violations = append(violations, fmt.Sprintf(
@@ -317,31 +356,30 @@ func guardBench(w io.Writer, committedPath string, measure func() ([]EngineBench
 	if err != nil {
 		return err
 	}
-	violations := judge(results)
+	run, err := ratios(results)
+	if err != nil {
+		return err
+	}
+	violations := judge(results, run)
 	if len(violations) > 0 {
 		fmt.Fprintf(w, "  bench-guard: %d violation(s) on first pass; re-measuring\n", len(violations))
 		retry, err := measure()
 		if err != nil {
 			return err
 		}
+		again, err := ratios(retry)
+		if err != nil {
+			return err
+		}
 		// Judge the better of the two runs per benchmark.
-		byName := make(map[string]EngineBenchResult, len(retry))
-		for _, r := range retry {
-			byName[r.Name] = r
-		}
-		merged := make([]EngineBenchResult, 0, len(results))
-		for _, r := range results {
-			if r2, ok := byName[r.Name]; ok {
-				if r2.NsPerOp < r.NsPerOp {
-					r.NsPerOp = r2.NsPerOp
-				}
-				if r2.AllocsPerOp < r.AllocsPerOp {
-					r.AllocsPerOp = r2.AllocsPerOp
-				}
+		for name, r := range run {
+			if r2, ok := again[name]; ok {
+				r.NsPerOp = min(r.NsPerOp, r2.NsPerOp)
+				r.AllocsPerOp = min(r.AllocsPerOp, r2.AllocsPerOp)
+				run[name] = r
 			}
-			merged = append(merged, r)
 		}
-		violations = judge(merged)
+		violations = judge(results, run)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -349,6 +387,27 @@ func guardBench(w io.Writer, committedPath string, measure func() ([]EngineBench
 		}
 		return fmt.Errorf("bench-guard: %d regression(s) vs %s", len(violations), committedPath)
 	}
-	fmt.Fprintf(w, "  bench-guard: all benchmarks within 20%% of %s, no alloc growth\n", committedPath)
+	fmt.Fprintf(w, "  bench-guard: all benchmarks within 20%% of %s relative to %s, no alloc growth\n", committedPath, referenceName)
 	return nil
+}
+
+// readBenchResults reads a committed bench artifact's results by name.
+// Every artifact carries its results under the same key; the
+// family-specific fields are not judged.
+func readBenchResults(path string) (map[string]EngineBenchResult, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("bench-guard: read committed artifact: %w", err)
+	}
+	var committed struct {
+		Results []EngineBenchResult `json:"results"`
+	}
+	if err := json.Unmarshal(blob, &committed); err != nil {
+		return nil, fmt.Errorf("bench-guard: parse %s: %w", path, err)
+	}
+	out := make(map[string]EngineBenchResult, len(committed.Results))
+	for _, r := range committed.Results {
+		out[r.Name] = r
+	}
+	return out, nil
 }

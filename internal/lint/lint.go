@@ -4,16 +4,20 @@
 // MEL engine's performance results and the scan service's correctness
 // rest on conventions that ordinary tests cannot see: the zero-alloc
 // scan path, the sentinel-error↔wire-code bijection, the lock
-// discipline around the pool and verdict cache, the shape of the x86
-// opcode tables. Each convention gets an analyzer; `mellint ./...`
-// machine-checks all of them and gates every future change through
-// `make lint` / `make ci`.
+// discipline and lock order around the pool and verdict cache, the
+// shape of the x86 opcode tables. Each convention gets an analyzer;
+// `mellint ./...` machine-checks all of them and gates every future
+// change through `make lint` / `make ci`.
 //
 // The framework is module-scoped rather than package-scoped: analyzers
 // receive every package of the module at once, type-checked against gc
 // export data, because invariants like "nothing reachable from a
-// //mel:hotpath function uses fmt" are properties of the whole module,
-// not of one package.
+// //mel:hotpath function allocates or uses fmt" are properties of the
+// whole module, not of one package. Analyzers share their models
+// instead of rebuilding them: one call graph and one SCC helper
+// (callgraph.go, dataflow.go), one per-function IR (ir.go), one
+// flow-sensitive solver (dataflow.go), and one lock model
+// (lockstate.go) of which lockcheck and lockorder are two reports.
 package lint
 
 import (

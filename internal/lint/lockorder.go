@@ -67,7 +67,7 @@ func addAcquire(acqs *[]lockOp, a lockOp) bool {
 // held for ordering: not ambiguous, not local.
 func canonicalHeld(held, outer heldSet) []lockOp {
 	var out []lockOp
-	for _, l := range append(outer.clone(), held...) {
+	for _, l := range slices.Concat(outer, held) {
 		if l.id != "" && !l.ambiguous {
 			out = append(out, l.lockOp)
 		}
@@ -85,27 +85,29 @@ func runLockOrder(pass *Pass) {
 	trans := make(map[string][]lockOp)
 	for _, key := range g.order {
 		gf := g.Funcs[key]
-		acqs := trans[key]
+		var acqs []lockOp
+		var edges []loEdge
+		var calls []loCall
 		walkFrame(gf.Pkg, &lockEvents{
 			acquire: func(op lockOp, pos token.Pos, held, outer heldSet) {
 				if op.id == "" {
 					return
 				}
 				for _, h := range canonicalHeld(held, outer) {
-					edgesOf[key] = append(edgesOf[key], loEdge{from: h, to: op, pos: pos})
+					edges = append(edges, loEdge{from: h, to: op, pos: pos})
 				}
 				addAcquire(&acqs, op)
 			},
 			call: func(call *ast.CallExpr, held, outer heldSet) {
 				if callee, ok := callTargetKey(gf.Pkg, call); ok {
-					callsOf[key] = append(callsOf[key], loCall{callee: callee, held: canonicalHeld(held, outer), pos: call.Pos()})
+					calls = append(calls, loCall{callee: callee, held: canonicalHeld(held, outer), pos: call.Pos()})
 				}
 			},
 			send:    func(token.Pos, heldSet) {},
 			exit:    func(token.Pos, heldSet, bool) {},
 			iterEnd: func(*ast.BlockStmt, heldSet, heldSet) {},
 		}, gf.Decl.Body, nil)
-		trans[key] = acqs
+		trans[key], edgesOf[key], callsOf[key] = acqs, edges, calls
 	}
 
 	// Close the summaries callee-first; recursive components iterate to

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -118,10 +119,9 @@ type heldLock struct {
 	ambiguous bool // live branches disagreed at a join
 }
 
-// heldSet is the abstract lock state at one program point.
+// heldSet is the abstract lock state at one program point. Sets are
+// never changed in place, so branches share their entry state.
 type heldSet []heldLock
-
-func (h heldSet) clone() heldSet { return append(heldSet(nil), h...) }
 
 func (h heldSet) find(op lockOp) int {
 	for i, l := range h {
@@ -132,21 +132,55 @@ func (h heldSet) find(op lockOp) int {
 	return -1
 }
 
-// set records op's lock in the given state, replacing any entry.
-func (h *heldSet) set(op lockOp, deferred bool) {
-	h.release(op)
-	*h = append(*h, heldLock{lockOp: op, deferred: deferred})
+// without returns a copy of h minus op's entry.
+func (h heldSet) without(op lockOp) heldSet {
+	out := make(heldSet, 0, len(h)+1)
+	for _, l := range h {
+		if l.expr != op.expr || l.shared != op.shared {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
-func (h *heldSet) release(op lockOp) {
-	if i := h.find(op); i >= 0 {
-		*h = append((*h)[:i:i], (*h)[i+1:]...)
+// lockEvents are a client's hooks into the walk. held is the frame's
+// own state, outer what its in-place caller holds.
+type lockEvents struct {
+	acquire func(op lockOp, pos token.Pos, held, outer heldSet)
+	call    func(call *ast.CallExpr, held, outer heldSet)
+	send    func(pos token.Pos, held heldSet)
+	exit    func(pos token.Pos, held heldSet, atReturn bool)
+	iterEnd func(body *ast.BlockStmt, entry, end heldSet)
+}
+
+// lockWalker walks one frame; held is the state at the current point.
+type lockWalker struct {
+	pkg     *Package
+	ev      *lockEvents
+	outer   heldSet
+	held    heldSet
+	targets []*jumpTarget // enclosing loops, switches and selects
+	label   string        // label of the statement being entered
+}
+
+// jumpTarget collects the states break and continue carry to it.
+type jumpTarget struct {
+	label         string
+	loop          bool
+	breaks, conts []heldSet
+}
+
+// walkFrame walks a function body, or a literal's, under outer.
+func walkFrame(pkg *Package, ev *lockEvents, body *ast.BlockStmt, outer heldSet) {
+	w := &lockWalker{pkg: pkg, ev: ev, outer: outer}
+	if w.stmts(body.List) {
+		ev.exit(body.Rbrace, w.held, false)
 	}
 }
 
-// joinHeld folds the states of the live paths reaching one point into
-// h and reports whether any path is live.
-func joinHeld(h *heldSet, paths []heldSet) bool {
+// join sets the state to the join of the live paths reaching one point
+// and reports whether there are any.
+func (w *lockWalker) join(paths []heldSet) bool {
 	if len(paths) == 0 {
 		return false
 	}
@@ -167,125 +201,90 @@ func joinHeld(h *heldSet, paths []heldSet) bool {
 			}
 		}
 	}
-	*h = out
+	w.held = out
 	return true
 }
 
-// lockEvents are a client's hooks into the walk. held is the frame's
-// own state, outer what its in-place caller holds.
-type lockEvents struct {
-	acquire func(op lockOp, pos token.Pos, held, outer heldSet)
-	call    func(call *ast.CallExpr, held, outer heldSet)
-	send    func(pos token.Pos, held heldSet)
-	exit    func(pos token.Pos, held heldSet, atReturn bool)
-	iterEnd func(body *ast.BlockStmt, entry, end heldSet)
-}
-
-// lockWalker walks one frame.
-type lockWalker struct {
-	pkg     *Package
-	ev      *lockEvents
-	outer   heldSet
-	targets []*jumpTarget // enclosing loops, switches and selects
-	label   string        // label of the statement being entered
-	cur     *heldSet      // state inspect applies lock operations to
-}
-
-// jumpTarget collects the states break and continue carry to it.
-type jumpTarget struct {
-	label         string
-	loop          bool
-	breaks, conts []heldSet
-}
-
-// walkFrame walks a function body, or a literal's, under outer.
-func walkFrame(pkg *Package, ev *lockEvents, body *ast.BlockStmt, outer heldSet) {
-	var h heldSet
-	if (&lockWalker{pkg: pkg, ev: ev, outer: outer}).stmts(body.List, &h) {
-		ev.exit(body.Rbrace, h, false)
-	}
-}
-
 // stmts walks a list and reports whether control falls off its end.
-func (w *lockWalker) stmts(list []ast.Stmt, h *heldSet) bool {
+func (w *lockWalker) stmts(list []ast.Stmt) bool {
 	for _, s := range list {
-		if !w.stmt(s, h) {
+		if !w.stmt(s) {
 			return false
 		}
 	}
 	return true
 }
 
-func (w *lockWalker) stmt(s ast.Stmt, h *heldSet) bool {
+func (w *lockWalker) stmt(s ast.Stmt) bool {
 	label := w.label
 	w.label = ""
 	switch s := s.(type) {
 	case nil:
 	case *ast.BlockStmt:
-		return w.stmts(s.List, h)
+		return w.stmts(s.List)
 	case *ast.LabeledStmt:
 		w.label = s.Label.Name
-		return w.stmt(s.Stmt, h)
+		return w.stmt(s.Stmt)
 	case *ast.SendStmt:
-		w.exprs(h, s.Chan, s.Value)
-		w.ev.send(s.Pos(), *h)
+		w.exprs(s.Chan, s.Value)
+		w.ev.send(s.Pos(), w.held)
 	case *ast.DeferStmt:
 		if op, ok := deferredRelease(w.pkg, s.Call); ok {
-			h.set(op, true)
+			w.held = append(w.held.without(op), heldLock{lockOp: op, deferred: true})
 		}
-		w.spawn(s.Call, h)
+		w.spawn(s.Call)
 	case *ast.GoStmt:
-		w.spawn(s.Call, h)
+		w.spawn(s.Call)
 	case *ast.ReturnStmt:
-		w.exprs(h, s.Results...)
-		w.ev.exit(s.Pos(), *h, true)
+		w.exprs(s.Results...)
+		w.ev.exit(s.Pos(), w.held, true)
 		return false
 	case *ast.BranchStmt:
-		return w.jump(s, *h)
+		return w.jump(s)
 	case *ast.IfStmt:
-		w.stmt(s.Init, h)
-		w.exprs(h, s.Cond)
-		then, els := h.clone(), h.clone()
-		ends := make([]heldSet, 0, 2)
-		if w.stmts(s.Body.List, &then) {
-			ends = append(ends, then)
+		w.stmt(s.Init)
+		w.exprs(s.Cond)
+		entry, ends := w.held, make([]heldSet, 0, 2)
+		if w.stmts(s.Body.List) {
+			ends = append(ends, w.held)
 		}
-		if w.stmt(s.Else, &els) {
-			ends = append(ends, els)
+		w.held = entry
+		if w.stmt(s.Else) {
+			ends = append(ends, w.held)
 		}
-		return joinHeld(h, ends)
+		return w.join(ends)
 	case *ast.ForStmt:
-		w.stmt(s.Init, h)
-		w.exprs(h, s.Cond)
-		return w.loop(label, s.Cond != nil, s.Body, s.Post, h)
+		w.stmt(s.Init)
+		w.exprs(s.Cond)
+		return w.loop(label, s.Cond != nil, s.Body, s.Post)
 	case *ast.RangeStmt:
-		w.exprs(h, s.X)
-		return w.loop(label, true, s.Body, nil, h)
+		w.exprs(s.X)
+		return w.loop(label, true, s.Body, nil)
 	case *ast.SwitchStmt:
-		w.stmt(s.Init, h)
-		w.exprs(h, s.Tag)
-		return w.clauses(label, s.Body, false, h)
+		w.stmt(s.Init)
+		w.exprs(s.Tag)
+		return w.clauses(label, s.Body, false)
 	case *ast.TypeSwitchStmt:
-		w.stmt(s.Init, h)
-		w.stmt(s.Assign, h)
-		return w.clauses(label, s.Body, false, h)
+		w.stmt(s.Init)
+		w.stmt(s.Assign)
+		return w.clauses(label, s.Body, false)
 	case *ast.SelectStmt:
-		return w.clauses(label, s.Body, true, h)
+		return w.clauses(label, s.Body, true)
 	default: // assignments, declarations, expression statements, inc/dec
-		w.inspect(h, s)
+		ast.Walk(w, s)
 	}
 	return true
 }
 
 // spawn walks a go or defer call: operands are evaluated now, a literal
 // body later, in a frame of its own with nothing held.
-func (w *lockWalker) spawn(call *ast.CallExpr, h *heldSet) {
+func (w *lockWalker) spawn(call *ast.CallExpr) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		walkFrame(w.pkg, w.ev, lit.Body, nil)
 	} else {
-		w.exprs(h, call.Fun)
+		w.exprs(call.Fun)
 	}
-	w.exprs(h, call.Args...)
+	w.exprs(call.Args...)
 }
 
 // deferredRelease recognizes `defer mu.Unlock()` (or RUnlock), directly
@@ -306,18 +305,18 @@ func deferredRelease(pkg *Package, call *ast.CallExpr) (lockOp, bool) {
 
 // jump records a break or continue at its target; every branch
 // statement ends its path.
-func (w *lockWalker) jump(s *ast.BranchStmt, h heldSet) bool {
+func (w *lockWalker) jump(s *ast.BranchStmt) bool {
 	for i := len(w.targets) - 1; i >= 0 && (s.Tok == token.BREAK || s.Tok == token.CONTINUE); i-- {
 		t := w.targets[i]
 		if s.Label != nil && s.Label.Name != t.label {
 			continue
 		}
 		if s.Tok == token.BREAK {
-			t.breaks = append(t.breaks, h.clone())
+			t.breaks = append(t.breaks, w.held)
 			break
 		}
 		if t.loop {
-			t.conts = append(t.conts, h.clone())
+			t.conts = append(t.conts, w.held)
 			break
 		}
 	}
@@ -327,33 +326,31 @@ func (w *lockWalker) jump(s *ast.BranchStmt, h heldSet) bool {
 // loop walks one iteration. Its end joins the fallthrough and continue
 // paths; the exit joins the breaks with, if the loop has a condition,
 // the entry and the iteration end.
-func (w *lockWalker) loop(label string, hasCond bool, body *ast.BlockStmt, post ast.Stmt, h *heldSet) bool {
-	t := &jumpTarget{label: label, loop: true}
+func (w *lockWalker) loop(label string, hasCond bool, body *ast.BlockStmt, post ast.Stmt) bool {
+	entry, t := w.held, &jumpTarget{label: label, loop: true}
 	w.targets = append(w.targets, t)
-	end := h.clone()
-	if w.stmts(body.List, &end) {
-		t.conts = append(t.conts, end)
+	if w.stmts(body.List) {
+		t.conts = append(t.conts, w.held)
 	}
 	w.targets = w.targets[:len(w.targets)-1]
 	exits := t.breaks
 	if hasCond {
-		exits = append(exits, h.clone())
+		exits = append(exits, entry)
 	}
-	var iter heldSet
-	if joinHeld(&iter, t.conts) {
-		w.stmt(post, &iter)
-		w.ev.iterEnd(body, *h, iter)
+	if w.join(t.conts) {
+		w.stmt(post)
+		w.ev.iterEnd(body, entry, w.held)
 		if hasCond {
-			exits = append(exits, iter)
+			exits = append(exits, w.held)
 		}
 	}
-	return joinHeld(h, exits)
+	return w.join(exits)
 }
 
 // clauses walks switch and select bodies, each clause a branch from
 // the entry. A switch without a default may match nothing; a select
 // blocks until a clause runs, and its sends block unless it has one.
-func (w *lockWalker) clauses(label string, body *ast.BlockStmt, isSelect bool, h *heldSet) bool {
+func (w *lockWalker) clauses(label string, body *ast.BlockStmt, isSelect bool) bool {
 	hasDefault := false
 	for _, c := range body.List {
 		switch c := c.(type) {
@@ -363,77 +360,68 @@ func (w *lockWalker) clauses(label string, body *ast.BlockStmt, isSelect bool, h
 			hasDefault = hasDefault || c.Comm == nil
 		}
 	}
-	t := &jumpTarget{label: label}
+	entry, t := w.held, &jumpTarget{label: label}
 	w.targets = append(w.targets, t)
 	var ends []heldSet
 	for _, c := range body.List {
-		cl := h.clone()
+		w.held = entry
 		var list []ast.Stmt
 		switch c := c.(type) {
 		case *ast.CaseClause:
-			w.exprs(&cl, c.List...)
+			w.exprs(c.List...)
 			list = c.Body
 		case *ast.CommClause:
 			if send, isSend := c.Comm.(*ast.SendStmt); isSend && hasDefault {
-				w.exprs(&cl, send.Chan, send.Value)
+				w.exprs(send.Chan, send.Value)
 			} else {
-				w.stmt(c.Comm, &cl)
+				w.stmt(c.Comm)
 			}
 			list = c.Body
 		}
-		if w.stmts(list, &cl) {
-			ends = append(ends, cl)
+		if w.stmts(list) {
+			ends = append(ends, w.held)
 		}
 	}
 	w.targets = w.targets[:len(w.targets)-1]
 	ends = append(ends, t.breaks...)
 	if !hasDefault && !isSelect {
-		ends = append(ends, h.clone())
+		ends = append(ends, entry)
 	}
-	return joinHeld(h, ends)
+	return w.join(ends)
 }
 
-// exprs walks expressions in evaluation order: lock operations update
-// h, other calls go to the client, literals are walked as frames.
-func (w *lockWalker) exprs(h *heldSet, list ...ast.Expr) {
+// exprs walks expressions in evaluation order (see Visit).
+func (w *lockWalker) exprs(list ...ast.Expr) {
 	for _, e := range list {
 		if e != nil {
-			w.inspect(h, e)
+			ast.Walk(w, e)
 		}
 	}
 }
 
-// inspect walks n's expressions with the walker as the ast.Visitor.
-func (w *lockWalker) inspect(h *heldSet, n ast.Node) {
-	saved := w.cur
-	w.cur = h
-	ast.Walk(w, n)
-	w.cur = saved
-}
-
-// Visit implements ast.Visitor for inspect.
+// Visit implements ast.Visitor: lock operations update the state,
+// other calls go to the client, and literals are walked as frames.
 func (w *lockWalker) Visit(n ast.Node) ast.Visitor {
-	h := w.cur
 	switch n := n.(type) {
 	case *ast.FuncLit:
 		walkFrame(w.pkg, w.ev, n.Body, nil)
 		return nil
 	case *ast.CallExpr:
 		if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
-			w.exprs(h, n.Args...)
-			walkFrame(w.pkg, w.ev, lit.Body, append(w.outer.clone(), *h...))
+			w.exprs(n.Args...)
+			walkFrame(w.pkg, w.ev, lit.Body, slices.Concat(w.outer, w.held))
 			return nil
 		}
 		op, isLock := recognizeLock(w.pkg, n)
 		switch {
 		case !isLock:
-			w.ev.call(n, *h, w.outer)
+			w.ev.call(n, w.held, w.outer)
 			return w
 		case op.acquire:
-			w.ev.acquire(op, n.Pos(), *h, w.outer)
-			h.set(op, false)
+			w.ev.acquire(op, n.Pos(), w.held, w.outer)
+			w.held = append(w.held.without(op), heldLock{lockOp: op})
 		default:
-			h.release(op)
+			w.held = w.held.without(op)
 		}
 		return nil
 	}
