@@ -245,7 +245,7 @@ func ContentGuard(w io.Writer, committedPath, enginePath string, seed uint64) er
 		if err != nil {
 			return nil, err
 		}
-		benign, err := benchBenign(seed)
+		_, benign, err := engineCases(seed)
 		if err != nil {
 			return nil, err
 		}

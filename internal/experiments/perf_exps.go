@@ -70,13 +70,14 @@ func benchResult(name string, nbytes int, f func(b *testing.B)) EngineBenchResul
 	}
 }
 
-// benchBenign is the 4 KB benign text case the engine benchmarks scan.
-func benchBenign(seed uint64) ([]byte, error) {
-	cases, err := corpus.Dataset(seed, 8, 4096)
+// engineCases are the engine benchmarks' inputs: eight 4 KB text cases
+// and, cut from the first, the benign case ScanReference is timed on.
+func engineCases(seed uint64) (cases []corpus.Case, benign []byte, err error) {
+	cases, err = corpus.Dataset(seed, 8, 4096)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return cases[0].Data[:4000], nil
+	return cases, cases[0].Data[:4000], nil
 }
 
 // referenceResult measures ScanReference on benign.
@@ -96,11 +97,10 @@ func referenceResult(eng *mel.Engine, benign []byte) EngineBenchResult {
 // stream path — and writes the JSON artifact to outPath ("" skips the
 // file).
 func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, error) {
-	cases, err := corpus.Dataset(seed, 8, 4096)
+	cases, benign, err := engineCases(seed)
 	if err != nil {
 		return EngineBenchReport{}, err
 	}
-	benign := cases[0].Data[:4000]
 
 	worm, err := encoder.Encode(shellcode.Execve().Code, encoder.Options{Seed: seed})
 	if err != nil {

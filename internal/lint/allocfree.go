@@ -7,11 +7,6 @@ import (
 	"go/types"
 )
 
-// HotpathDirective is the doc-comment directive that marks a function
-// as part of an allocation-free hot path. The directive covers the
-// function and everything it statically calls within the module.
-const HotpathDirective = "//mel:hotpath"
-
 // AllocFreeAnalyzer enforces the hot-path contract, interprocedurally:
 // every function in the //mel:hotpath call-graph closure must be
 // statically allocation-free and keep to the hot-path call discipline.

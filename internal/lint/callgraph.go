@@ -140,6 +140,11 @@ func (g *CallGraph) Reach(start string, maxDepth int) []*GraphFunc {
 	return out
 }
 
+// HotpathDirective is the doc-comment directive that marks a function
+// as part of an allocation-free hot path. The directive covers the
+// function and everything it statically calls within the module.
+const HotpathDirective = "//mel:hotpath"
+
 // hasHotpathDirective reports whether the function's doc comment block
 // contains the //mel:hotpath directive line.
 func hasHotpathDirective(fd *ast.FuncDecl) bool {

@@ -46,7 +46,7 @@ func recognizeLock(pkg *Package, e ast.Expr) (lockOp, bool) {
 	switch name := sel.Sel.Name; name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 		fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || (fn.FullName() != "(*sync.Mutex)."+name && fn.FullName() != "(*sync.RWMutex)."+name) {
+		if !isFn || (fn.FullName() != "(*sync.Mutex)."+name && fn.FullName() != "(*sync.RWMutex)."+name) {
 			return lockOp{}, false
 		}
 		op := lockOp{expr: types.ExprString(sel.X), shared: name[0] == 'R', acquire: !strings.HasSuffix(name, "Unlock")}
