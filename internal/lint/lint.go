@@ -249,11 +249,11 @@ func eachFunc(p *Package, fn func(*ast.FuncDecl)) {
 	}
 }
 
-// declaredType dereferences pointers, resolves aliases, and unwraps
+// isNamedType dereferences pointers, resolves aliases, and unwraps
 // named types to answer "is this (a pointer to) the named type
 // pkg.name". Alias resolution matters: with Go ≥ 1.22 materializing
-// *types.Alias nodes, `type M = sync.Mutex` would otherwise defeat the
-// match and silently disable lockcheck/ctxcheck on aliased types.
+// *types.Alias nodes, `type W = sync.WaitGroup` would otherwise defeat
+// the match and silently disable leakcheck's join evidence.
 func isNamedType(t types.Type, pkgPath, name string) bool {
 	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
