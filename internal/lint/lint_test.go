@@ -80,6 +80,25 @@ func TestAnalyzersGolden(t *testing.T) {
 			}
 		})
 	}
+
+	// The hotpath checks (fmt/reflect use, defer in a loop) run inside
+	// allocfree; this case pins exactly their findings, including the
+	// one reached through a call into another package.
+	t.Run("hotpath", func(t *testing.T) {
+		var hot []Diagnostic
+		for _, d := range Run(mod, []*Analyzer{AllocFreeAnalyzer()}) {
+			if strings.HasPrefix(d.Message, "use of ") || strings.HasPrefix(d.Message, "defer inside a loop") {
+				hot = append(hot, d)
+			}
+		}
+		got := render(mod, hot)
+		want := "hotpathbad/bad.go:27:3 allocfree: defer inside a loop on a hot path (in //mel:hotpath Scan)\n" +
+			"hotpathbad/bad.go:29:6 allocfree: use of fmt.Println on a hot path (in //mel:hotpath Scan)\n" +
+			"hotpathdep/dep.go:11:7 allocfree: use of fmt.Printf on a hot path (in Weigh, reached from //mel:hotpath Scan)\n"
+		if got != want {
+			t.Errorf("hotpath findings diverge\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+	})
 }
 
 // TestDiagnosticOrdering pins the sort contract: findings come out
