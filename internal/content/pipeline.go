@@ -149,7 +149,8 @@ func (p *Pipeline) Scan(payload []byte) (core.Verdict, error) {
 // first malicious verdict wins and carries its decode chain; otherwise
 // the raw payload's verdict is returned. A decode cut short by the
 // output budget is not an error: the views produced before the cut are
-// still scanned and the trip is counted.
+// still scanned and the trip is counted. A verdict reached at a decode
+// depth shed under load is marked Shed.
 func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, error) {
 	p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.scans })
 
@@ -184,6 +185,7 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 	depth := p.depthFor()
 	if depth < p.dec.MaxDepth() {
 		p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.depthShed })
+		raw.Shed = true
 	}
 	if depth == 0 {
 		tr.SetContent(0, "", res.Score, res.Cleared)
@@ -197,6 +199,7 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 		return verdict, verr
 	}
 	if verdict.Malicious {
+		verdict.Shed = raw.Shed
 		tr.SetContent(verdict.ViewIndex, verdict.DecodeChain, res.Score, false)
 		tr.SetVerdict(verdict.MEL, verdict.Threshold, true)
 		return verdict, nil

@@ -261,6 +261,9 @@ func TestPipelineLoadShed(t *testing.T) {
 	if v.Malicious {
 		t.Fatal("depth-1 shed still peeled two layers")
 	}
+	if !v.Shed {
+		t.Fatal("verdict at shed depth not marked Shed")
+	}
 	// ...but a raw worm is still scanned and flagged even at max pressure.
 	p.SetPressure(1.0)
 	if got := p.depthFor(); got != 0 {
@@ -272,6 +275,9 @@ func TestPipelineLoadShed(t *testing.T) {
 	}
 	if !v.Malicious {
 		t.Fatal("raw worm missed under full pressure")
+	}
+	if v.Shed {
+		t.Fatal("raw-payload hit marked Shed: it does not depend on decode depth")
 	}
 	// A benign scan at full pressure skips decode entirely and counts
 	// as a shed.
@@ -287,7 +293,7 @@ func TestPipelineLoadShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Malicious || v.DecodeChain != "gzip>base64" {
+	if !v.Malicious || v.DecodeChain != "gzip>base64" || v.Shed {
 		t.Fatalf("post-shed verdict = %+v", v)
 	}
 }

@@ -77,7 +77,7 @@ func TestCalibrateInvalidatesThresholdCache(t *testing.T) {
 	}
 }
 
-// TestStreamBufferBounded: the stream scanner's carry buffer must never
+// TestStreamBufferBounded: the stream scanner's window buffer must never
 // grow beyond one window no matter how the input is chunked, and the
 // alerts must be identical across chunkings.
 func TestStreamBufferBounded(t *testing.T) {

@@ -240,6 +240,11 @@ type Verdict struct {
 	// without invoking the MEL pass (MEL, Params, and BestStart are then
 	// zero).
 	TriageCleared bool
+	// Shed reports that load shedding cut the decode depth below the
+	// configured maximum, so views past the cut went unscanned. Such a
+	// verdict holds only for that load: the scan service never caches
+	// it. It is not sent on the wire.
+	Shed bool
 }
 
 // Scan analyzes one payload.
@@ -255,26 +260,18 @@ func (d *Detector) ScanTraced(payload []byte, tr *tracing.Trace) (Verdict, error
 	if d == nil || d.engine == nil {
 		return Verdict{}, ErrNotCalibrated
 	}
-	return d.observed(payload, tr, d.engine.ScanTraced)
-}
-
-// observed runs one scan through the observer hook (when set), so both
-// the standalone path and the window-session path feed the same
-// per-scan telemetry.
-func (d *Detector) observed(payload []byte, tr *tracing.Trace, engineScan func([]byte, *tracing.Trace) (mel.Result, error)) (Verdict, error) {
 	if obs := d.observer.Load(); obs != nil {
 		start := time.Now()
-		v, err := d.scan(payload, tr, engineScan)
+		v, err := d.scan(payload, tr)
 		(*obs)(ScanStats{Bytes: len(payload), Elapsed: time.Since(start), Verdict: v, Err: err})
 		return v, err
 	}
-	return d.scan(payload, tr, engineScan)
+	return d.scan(payload, tr)
 }
 
-// scan is the scan body: threshold derivation, the MEL measurement via
-// engineScan (the standalone engine or a carrying window session), and
-// verdict assembly. tr may be nil (untraced).
-func (d *Detector) scan(payload []byte, tr *tracing.Trace, engineScan func([]byte, *tracing.Trace) (mel.Result, error)) (Verdict, error) {
+// scan is the scan body: threshold derivation, the engine's MEL
+// measurement, and verdict assembly. tr may be nil (untraced).
+func (d *Detector) scan(payload []byte, tr *tracing.Trace) (Verdict, error) {
 	if len(payload) == 0 {
 		return Verdict{}, ErrEmptyPayload
 	}
@@ -310,7 +307,7 @@ func (d *Detector) scan(payload []byte, tr *tracing.Trace, engineScan func([]byt
 	}
 	textOnly := textins.IsTextStream(payload)
 	tr.StageEnd(tracing.StageThreshold)
-	res, err := engineScan(payload, tr)
+	res, err := d.engine.ScanTraced(payload, tr)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("scan: %w", err)
 	}

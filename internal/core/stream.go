@@ -49,35 +49,19 @@ type StreamScanner struct {
 	window int
 	stride int
 
-	// sess, when set, carries the engine's packed records across the
-	// window overlap so each window only decodes the newly arrived
-	// bytes (NewStreamScanner sets it; the func form cannot). started
-	// distinguishes the first window, which has no overlap to carry.
-	sess    *WindowSession
-	started bool
-
 	buf    []byte
 	offset int64
 	alerts []StreamAlert
 }
 
-// NewStreamScanner wraps a detector. Non-positive window/stride take the
-// defaults; stride must not exceed window, and window must not exceed
-// MaxWindow.
+// NewStreamScanner wraps a detector: each window is judged by
+// det.Scan. Non-positive window/stride take the defaults; stride must
+// not exceed window, and window must not exceed MaxWindow.
 func NewStreamScanner(det *Detector, window, stride int) (*StreamScanner, error) {
 	if det == nil {
 		return nil, errors.New("core: nil detector")
 	}
-	s, err := NewStreamScannerFunc(det.Scan, window, stride)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := det.NewWindowSession()
-	if err != nil {
-		return nil, err
-	}
-	s.sess = sess
-	return s, nil
+	return NewStreamScannerFunc(det.Scan, window, stride)
 }
 
 // NewStreamScannerFunc builds a stream scanner over an arbitrary scan
@@ -111,7 +95,7 @@ func NewStreamScannerFunc(scan func([]byte) (Verdict, error), window, stride int
 // Write feeds stream bytes; full windows are scanned as they complete.
 // Write never blocks on detection results — collect them with Alerts.
 //
-// The carry buffer is bounded at one window: completed windows are
+// The window buffer is bounded at one window: completed windows are
 // compacted by copying the overlap down rather than re-slicing, so the
 // backing array never grows, and when the buffer is empty whole windows
 // are scanned directly from p without copying at all.
@@ -145,25 +129,10 @@ func (s *StreamScanner) Write(p []byte) (int, error) {
 	}
 }
 
-// scanOne dispatches one window to the carrying session when available
-// (advance is the stride between consecutive windows, zero for the
-// first) and to the plain scan function otherwise.
-func (s *StreamScanner) scanOne(w []byte) (Verdict, error) {
-	if s.sess == nil {
-		return s.scan(w)
-	}
-	advance := 0
-	if s.started {
-		advance = s.stride
-	}
-	s.started = true
-	return s.sess.Scan(w, advance)
-}
-
 // scanWindow scans one full window and records the alert; on success the
 // stream position advances by one stride.
 func (s *StreamScanner) scanWindow(w []byte) error {
-	v, err := s.scanOne(w)
+	v, err := s.scan(w)
 	if err != nil {
 		return fmt.Errorf("window at %d: %w", s.offset, err)
 	}
@@ -184,7 +153,7 @@ func (s *StreamScanner) Flush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	v, err := s.scanOne(s.buf)
+	v, err := s.scan(s.buf)
 	if err != nil {
 		return fmt.Errorf("final window at %d: %w", s.offset, err)
 	}
@@ -199,25 +168,10 @@ func (s *StreamScanner) Flush() error {
 	return nil
 }
 
-// Close releases the carrying session's pinned engine state (a no-op
-// for the func form). The scanner must not be written to after Close;
-// Alerts remains valid.
-func (s *StreamScanner) Close() {
-	if s.sess != nil {
-		s.sess.Close()
-		s.sess = nil
-	}
-}
-
-// CarryStats returns the carrying session's cumulative record-reuse
-// counters (all zero for the func form, which cannot carry, and after
-// Close).
-func (s *StreamScanner) CarryStats() mel.WindowStats {
-	if s.sess == nil {
-		return mel.WindowStats{}
-	}
-	return s.sess.Stats()
-}
+// Close ends the stream. The scanner holds no resources between
+// windows, so this is a no-op kept for callers that pair every scanner
+// with a Close; Alerts remains valid.
+func (s *StreamScanner) Close() {}
 
 // Alerts returns the flagged windows so far (a copy).
 func (s *StreamScanner) Alerts() []StreamAlert {

@@ -183,11 +183,36 @@ func TestAlertsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestStreamCarryDifferential proves the carrying session path produces
-// alerts identical to the plain per-window scan path on the same
-// stream, with a worm deliberately straddling a window carry boundary
-// and chunked delivery exercising both Write paths.
-func TestStreamCarryDifferential(t *testing.T) {
+// windowAlerts is the stream scanner's specification: Detector.Scan on
+// every full window at a multiple of stride, then on the trailing bytes
+// from the first window position that did not fit.
+func windowAlerts(t *testing.T, d *Detector, stream []byte, window, stride int) []StreamAlert {
+	t.Helper()
+	var out []StreamAlert
+	judge := func(off int, w []byte) {
+		v, err := d.Scan(w)
+		if err != nil {
+			t.Fatalf("window at %d: %v", off, err)
+		}
+		if v.Malicious {
+			out = append(out, StreamAlert{Offset: int64(off), BestStart: int64(off + v.BestStart), Verdict: v})
+		}
+	}
+	off := 0
+	for ; off+window <= len(stream); off += stride {
+		judge(off, stream[off:off+window])
+	}
+	if off < len(stream) {
+		judge(off, stream[off:])
+	}
+	return out
+}
+
+// TestStreamChunkingInvariance: however Write is chunked, the alerts
+// equal Detector.Scan run on each window, with the worm placed across
+// a window end, across a stride boundary, inside the overlap, and in
+// the trailing partial window.
+func TestStreamChunkingInvariance(t *testing.T) {
 	d := streamDetector(t)
 	cases, err := corpus.Dataset(57, 6, 4000)
 	if err != nil {
@@ -198,58 +223,48 @@ func TestStreamCarryDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	benign := corpus.Concat(cases)
-	// Straddle the first carry boundary: the worm starts inside window 0
-	// and finishes inside window 1's fresh region.
-	var stream []byte
-	stream = append(stream, benign[:4096-len(w.Bytes)/2]...)
-	stream = append(stream, w.Bytes...)
-	stream = append(stream, benign[4096:]...)
-
-	for _, chunk := range []int{0, 1, 777} {
-		carrying, err := NewStreamScanner(d, 4096, 2048)
-		if err != nil {
-			t.Fatal(err)
+	const window, stride = 4096, 2048
+	half := len(w.Bytes) / 2
+	for _, at := range []int{window - half, 3*stride - half, window + 4, len(benign) - 1000} {
+		stream := append(append(append([]byte{}, benign[:at]...), w.Bytes...), benign[at:]...)
+		want := windowAlerts(t, d, stream, window, stride)
+		if len(want) == 0 {
+			t.Fatalf("worm at %d not detected", at)
 		}
-		plain, err := NewStreamScannerFunc(d.Scan, 4096, 2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*StreamScanner{carrying, plain} {
+		for _, chunk := range []int{0, 1, 777, stride, window + 1} {
+			s, err := NewStreamScanner(d, window, stride)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if chunk == 0 {
 				if _, err := s.Write(stream); err != nil {
 					t.Fatal(err)
 				}
-			} else {
-				for off := 0; off < len(stream); off += chunk {
-					end := min(off+chunk, len(stream))
-					if _, err := s.Write(stream[off:end]); err != nil {
-						t.Fatal(err)
-					}
+			}
+			for off := 0; chunk > 0 && off < len(stream); off += chunk {
+				if _, err := s.Write(stream[off:min(off+chunk, len(stream))]); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		got, want := carrying.Alerts(), plain.Alerts()
-		carrying.Close()
-		if len(got) == 0 {
-			t.Fatal("straddling worm not detected")
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: carrying path %d alerts, plain path %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d alert %d: carrying %+v, plain %+v", chunk, i, got[i], want[i])
+			got := s.Alerts()
+			if len(got) != len(want) {
+				t.Fatalf("worm at %d, chunk %d: %d alerts, per-window scans %d", at, chunk, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("worm at %d, chunk %d, alert %d: %+v, per-window scan %+v", at, chunk, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
 // TestStreamAlertBestStartAbsolute pins the offset math at window
-// boundaries: a worm landing entirely inside the carry region of a
-// later window must be reported with a stream-absolute BestStart that
+// boundaries: a worm landing entirely inside the overlap of two
+// windows must be reported with a stream-absolute BestStart that
 // falls inside the worm, on every alerting window.
 func TestStreamAlertBestStartAbsolute(t *testing.T) {
 	d := streamDetector(t)
@@ -262,8 +277,8 @@ func TestStreamAlertBestStartAbsolute(t *testing.T) {
 		t.Fatal(err)
 	}
 	benign := corpus.Concat(cases)
-	// Place the worm inside [4096, 6144): window 1's carry region once
-	// window 2 (offset 4096) picks it up, and past window 0 entirely.
+	// Place the worm inside [4096, 6144): the overlap of window 1
+	// (offset 2048) and window 2 (offset 4096), past window 0 entirely.
 	wormOffset := 4100
 	var stream []byte
 	stream = append(stream, benign[:wormOffset]...)

@@ -41,10 +41,6 @@ type EngineBenchReport struct {
 	// scan as a wide event on top of the traced path (events/traced − 1);
 	// like tracing, the budget holds it under 5%.
 	EventsOverhead float64 `json:"events_overhead"`
-	// StreamCarryReuse is the fraction of packed records the windowed
-	// stream scan carried across window overlaps instead of re-decoding
-	// (0 would mean every window decoded from scratch).
-	StreamCarryReuse float64 `json:"stream_carry_reuse"`
 }
 
 // referenceName is the frozen ScanReference benchmark. The bench guard
@@ -236,11 +232,6 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 		}
 	})
 
-	if carry := scanner.CarryStats(); carry.RecordsReused+carry.RecordsDecoded > 0 {
-		report.StreamCarryReuse = float64(carry.RecordsReused) /
-			float64(carry.RecordsReused+carry.RecordsDecoded)
-	}
-
 	report.Results = []EngineBenchResult{optimized, reference, traced, eventsRes, wormRes, big64Res, mixedRes, streamRes}
 	if optimized.NsPerOp > 0 {
 		report.SpeedupSequential = reference.NsPerOp / optimized.NsPerOp
@@ -258,7 +249,6 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	fmt.Fprintf(w, "  sequential speedup vs reference: %.2fx\n", report.SpeedupSequential)
 	fmt.Fprintf(w, "  tracing overhead: %.2f%%\n", report.TracingOverhead*100)
 	fmt.Fprintf(w, "  events overhead: %.2f%%\n", report.EventsOverhead*100)
-	fmt.Fprintf(w, "  stream carry reuse: %.1f%%\n", report.StreamCarryReuse*100)
 
 	if outPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")

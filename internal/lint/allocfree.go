@@ -44,7 +44,7 @@ import (
 func AllocFreeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "allocfree",
-		Doc:  "functions in the //mel:hotpath closure must be statically allocation-free (make/new/append/map writes/string concat/boxing/escaping closures)",
+		Doc:  "functions in the //mel:hotpath closure must be statically allocation-free (make/new/append/map writes/string concat/boxing/escaping closures), use neither fmt nor reflect, and defer nothing inside a loop",
 		Run:  runAllocFree,
 	}
 }

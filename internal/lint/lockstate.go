@@ -19,9 +19,10 @@ import (
 //
 // At a join a lock survives only if every live branch holds it in the
 // same state; otherwise it is marked ambiguous — never reported by
-// lockcheck, not held for lockorder. return, goto and fallthrough end
-// a path; break and continue carry it to the loop exit or iteration
-// end.
+// lockcheck, not held for lockorder. return and fallthrough end a
+// path; break and continue carry it to the loop exit or iteration end,
+// and a forward goto to its label, where the walk resumes even after a
+// statement that ends every path.
 
 // lockOp is one recognized Lock/RLock/Unlock/RUnlock call.
 type lockOp struct {
@@ -159,8 +160,9 @@ type lockWalker struct {
 	ev      *lockEvents
 	outer   heldSet
 	held    heldSet
-	targets []*jumpTarget // enclosing loops, switches and selects
-	label   string        // label of the statement being entered
+	targets []*jumpTarget        // enclosing loops, switches and selects
+	label   string               // label of the statement being entered
+	gotos   map[string][]heldSet // states at the gotos to each label
 }
 
 // jumpTarget collects the states break and continue carry to it.
@@ -206,13 +208,24 @@ func (w *lockWalker) join(paths []heldSet) bool {
 }
 
 // stmts walks a list and reports whether control falls off its end.
+// A labelled statement joins the path falling into it with the gotos
+// that reached it so far, so code after a return that only a goto
+// reaches is still walked. A backward goto ends its path.
 func (w *lockWalker) stmts(list []ast.Stmt) bool {
+	live := true
 	for _, s := range list {
-		if !w.stmt(s) {
-			return false
+		if l, ok := s.(*ast.LabeledStmt); ok && len(w.gotos[l.Label.Name]) > 0 {
+			paths := w.gotos[l.Label.Name]
+			if live {
+				paths = append(paths, w.held)
+			}
+			live = w.join(paths)
+		}
+		if live {
+			live = w.stmt(s)
 		}
 	}
-	return true
+	return live
 }
 
 func (w *lockWalker) stmt(s ast.Stmt) bool {
@@ -303,9 +316,16 @@ func deferredRelease(pkg *Package, call *ast.CallExpr) (lockOp, bool) {
 	return op, ok && !op.acquire
 }
 
-// jump records a break or continue at its target; every branch
-// statement ends its path.
+// jump records a break or continue at its target and a goto at its
+// label; every branch statement ends its path.
 func (w *lockWalker) jump(s *ast.BranchStmt) bool {
+	if s.Tok == token.GOTO {
+		if w.gotos == nil {
+			w.gotos = make(map[string][]heldSet)
+		}
+		w.gotos[s.Label.Name] = append(w.gotos[s.Label.Name], w.held)
+		return false
+	}
 	for i := len(w.targets) - 1; i >= 0 && (s.Tok == token.BREAK || s.Tok == token.CONTINUE); i-- {
 		t := w.targets[i]
 		if s.Label != nil && s.Label.Name != t.label {

@@ -121,3 +121,17 @@ func LocalLeak() {
 	var mu sync.Mutex
 	mu.Lock()
 }
+
+// GotoLeak jumps past the unlock to a label that only the goto
+// reaches, and returns from there with the lock held.
+func (b *box) GotoLeak(k string) int {
+	b.mu.Lock()
+	if _, ok := b.vals[k]; !ok {
+		goto missing
+	}
+	b.vals[k]++
+	b.mu.Unlock()
+	return 1
+missing:
+	return -1
+}

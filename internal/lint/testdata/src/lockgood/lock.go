@@ -120,3 +120,18 @@ func LocalMutex(n int) int {
 	}
 	return total
 }
+
+// GotoRelease leaves through a label that only the goto reaches; the
+// code there releases the lock.
+func (s *store) GotoRelease(k string) int {
+	s.mu.Lock()
+	if _, ok := s.vals[k]; !ok {
+		goto done
+	}
+	s.vals[k]++
+	s.mu.Unlock()
+	return 1
+done:
+	s.mu.Unlock()
+	return 0
+}

@@ -251,13 +251,13 @@ type scanState struct {
 	e    *Engine
 	code []byte
 
-	// Packed per-offset records (records.go), shared by every scan path
-	// and carried across windows by WindowScanner. The full scans build
-	// every record; ScanFrom and Trace start from zeroed records and
-	// decode only the offsets their walk reaches (no packed record is
-	// zero). backEdges counts records whose unconditional transfer
-	// targets at or before their own offset; the fused pass sets it, and
-	// melverify checks it against a direct tally.
+	// Packed per-offset records (records.go), shared by every scan
+	// path. The full scans build every record; ScanFrom and Trace start
+	// from zeroed records and decode only the offsets their walk
+	// reaches (no packed record is zero). backEdges counts records
+	// whose unconditional transfer targets at or before their own
+	// offset; the fused pass sets it, and melverify checks it against a
+	// direct tally.
 	recs      []uint64
 	backEdges int
 
@@ -291,23 +291,17 @@ func acquireState(e *Engine, code []byte) *scanState {
 	return s
 }
 
+// releaseState returns s to the pool. Its memo tables are marked dead
+// but keep their dirty spans, so the next acquire clears exactly the
+// stale cells.
 func releaseState(s *scanState) {
-	s.resetScan(nil)
-	s.e = nil
-	statePool.Put(s)
-}
-
-// resetScan readies the state for another scan: memo tables are marked
-// dead (their dirty spans survive, so the next acquire clears exactly
-// the stale cells), and the stream is swapped. Records are left in
-// place — the window scanner's carry reads them before ensureRecs.
-func (s *scanState) resetScan(code []byte) {
 	for _, m := range s.used[:s.usedN] {
 		s.live[m] = false
 	}
 	s.usedN = 0
-	s.code = code
-	s.states = 0
+	s.code = nil
+	s.e = nil
+	statePool.Put(s)
 }
 
 // table returns the memo table for mask, sized for the current stream,
@@ -422,20 +416,19 @@ func (e *Engine) ScanTraced(stream []byte, tr *tracing.Trace) (Result, error) {
 	s := acquireState(e, stream)
 	defer releaseState(s)
 	s.ensureRecs()
-	best, bestStart := s.scanTraced(0, tr)
+	best, bestStart := s.scanTraced(tr)
 	return Result{MEL: best, BestStart: bestStart, States: s.states}, nil
 }
 
-// scanTraced runs the scan over s.code, whose records below from are
-// already in place (the window carry; the caller guarantees they hold
-// no back edges), timing it onto tr. Sequential modes take the fused
-// single pass; all-paths mode builds the records, then explores them.
+// scanTraced runs the scan over s.code, timing it onto tr. Sequential
+// modes take the fused single pass; all-paths mode builds the records,
+// then explores them.
 //
 //mel:hotpath
-func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int) {
+func (s *scanState) scanTraced(tr *tracing.Trace) (best, bestStart int) {
 	if s.e.mode == ModeAllPaths {
 		tr.StageStart(tracing.StageDecode)
-		s.backEdges = s.buildRecords(from, len(s.code))
+		s.backEdges = s.buildRecords(len(s.code))
 		tr.StageEnd(tracing.StageDecode)
 		tr.StageStart(tracing.StageDP)
 		best, bestStart = s.run()
@@ -443,7 +436,7 @@ func (s *scanState) scanTraced(from int, tr *tracing.Trace) (best, bestStart int
 		return best, bestStart
 	}
 	tr.StageStart(tracing.StageDP)
-	best, bestStart = s.scanFused(from)
+	best, bestStart = s.scanFused()
 	tr.StageEnd(tracing.StageDP)
 	return best, bestStart
 }
@@ -642,9 +635,7 @@ func (e *Engine) ScanFrom(stream []byte, off int) (int, error) {
 // modes: decode and the suffix-run DP run as ONE backward pass over the
 // stream. The DP at an offset only consults records and memo cells
 // strictly ahead of it, which the backward order has already produced,
-// so no intermediate full-stream decode pass is needed. Offsets below
-// from reuse their carried records (the stream-carry path; the caller
-// guarantees the carried region has no back edges).
+// so no intermediate full-stream decode pass is needed.
 //
 // The start-mask table is filled backward; when an instruction's
 // register transition diverges from the start mask (register tracking
@@ -663,7 +654,7 @@ func (e *Engine) ScanFrom(stream []byte, off int) (int, error) {
 // byte-identical to ScanReference, state counts included.
 //
 //mel:hotpath
-func (s *scanState) scanFused(from int) (best, bestStart int) {
+func (s *scanState) scanFused() (best, bestStart int) {
 	code := s.code
 	n := len(code)
 	e := s.e
@@ -678,47 +669,40 @@ func (s *scanState) scanFused(from int) (best, bestStart int) {
 	var be bool
 	s.backEdges = 0
 	for off := n - 1; off >= 0; off-- {
-		if off < from {
-			r = recs[off]
-			goto dp
-		}
-		{
-			b := code[off]
-			if q := e.quick1[b]; q != 0 {
-				if r, be = patchQuick(q, code, off, n); be {
-					goto abort
-				}
-				goto store
+		b := code[off]
+		if q := e.quick1[b]; q != 0 {
+			if r, be = patchQuick(q, code, off, n); be {
+				goto abort
 			}
-			if off+1 < n {
-				if sp := segPrefixByte[b]; sp != 0 {
-					var dok bool
-					if r, dok = segDerive(recs[off+1], sp, &e.wrongSeg); dok {
-						if backEdgeRec(r) {
-							goto abort
-						}
-						goto store
-					}
-				}
-				if q := uint64(e.quick2[b][code[off+1]]); q != 0 {
-					if q&quickSIB != 0 {
-						r = expandSIB(q, code, off, n)
-						goto store // SIB records cannot be back edges
-					}
-					if r, be = patchQuick(q, code, off, n); be {
+			goto store
+		}
+		if off+1 < n {
+			if sp := segPrefixByte[b]; sp != 0 {
+				var dok bool
+				if r, dok = segDerive(recs[off+1], sp, &e.wrongSeg); dok {
+					if backEdgeRec(r) {
 						goto abort
 					}
 					goto store
 				}
 			}
-			r = s.decodeSlow(off)
-			if backEdgeRec(r) {
-				goto abort
+			if q := uint64(e.quick2[b][code[off+1]]); q != 0 {
+				if q&quickSIB != 0 {
+					r = expandSIB(q, code, off, n)
+					goto store // SIB records cannot be back edges
+				}
+				if r, be = patchQuick(q, code, off, n); be {
+					goto abort
+				}
+				goto store
 			}
+		}
+		r = s.decodeSlow(off)
+		if backEdgeRec(r) {
+			goto abort
 		}
 	store:
 		recs[off] = r
-	dp:
 		{
 			kind := uint8(r>>recKindShift) & 7
 			var v int32
@@ -762,7 +746,7 @@ func (s *scanState) scanFused(from int) (best, bestStart int) {
 		continue
 	abort:
 		recs[off] = r
-		s.backEdges = 1 + s.buildRecords(from, off)
+		s.backEdges = 1 + s.buildRecords(off)
 		s.states += n - 1 - off // the offsets above off, each resolved once
 		clear(t0[:off+1])
 		best, bestStart = 0, 0

@@ -9,10 +9,7 @@ import (
 // pass's own loop in scanFused, or buildRecords), to a packed 64-bit
 // record holding exactly what the walks over execution chains need
 // — encoded length, control kind, required registers, the compiled
-// register transition, and the branch displacement. Records are
-// position-independent (the displacement is relative), which is what
-// lets the stream scanner carry records for the window overlap instead
-// of re-decoding it (see WindowScanner).
+// register transition, and the branch displacement.
 //
 // The fused decoder below does not materialize an x86.Inst: it walks
 // prefixes, the opcode maps, ModRM/SIB and immediate sizes directly,
@@ -160,8 +157,7 @@ func backEdgeRec(r uint64) bool {
 		int(int32(r>>recDispShift))+int(r&recLenMask) <= 0
 }
 
-// countBackEdges tallies backEdgeRec over a record slice — used by the
-// window scanner to reject carried back edges, and by melverify as the
+// countBackEdges tallies backEdgeRec over a record slice — melverify's
 // direct tally.
 func countBackEdges(recs []uint64) int {
 	n := 0
@@ -834,25 +830,24 @@ func immWidthsEqual(inst *x86.Inst) bool {
 	return true
 }
 
-// buildRecords compiles every offset in [from, to) to its packed
-// record in one backward pass over the quick tables and the slow fused
+// buildRecords compiles every offset in [0, to) to its packed record
+// in one backward pass over the quick tables and the slow fused
 // decoder — backward so a segment-override prefix can derive its record
 // from the already-final successor record (segDerive; the record at to,
-// if any, must already be in place). Offsets outside the range keep
-// their existing records — the stream-carry reuse path (WindowScanner)
-// below from, the fused pass's suffix above to. It returns the number
-// of back edges among the records it built. The sequential modes fuse
+// if any, must already be in place). Offsets from to on keep their
+// records — the fused pass's suffix. It returns the number of back
+// edges among the records it built. The sequential modes fuse
 // this loop with the suffix DP (scanFused) and call it only to finish
 // the decode half after a back edge; it serves the all-paths mode,
 // FusedRecords, and melverify's record check.
 //
 //mel:hotpath
-func (s *scanState) buildRecords(from, to int) (backEdges int) {
+func (s *scanState) buildRecords(to int) (backEdges int) {
 	code := s.code
 	n := len(code)
 	e := s.e
 	recs := s.recs
-	for off := to - 1; off >= from; off-- {
+	for off := to - 1; off >= 0; off-- {
 		b := code[off]
 		if q := e.quick1[b]; q != 0 {
 			r, be := patchQuick(q, code, off, n)

@@ -26,7 +26,7 @@ func checkRecordsEquiv(t *testing.T, e *Engine, stream []byte) {
 	s := acquireState(e, stream)
 	defer releaseState(s)
 	s.ensureRecs()
-	s.buildRecords(0, len(stream))
+	s.buildRecords(len(stream))
 	for off := range stream {
 		if s.recs[off] == 0 {
 			t.Fatalf("zero record at offset %d (stream %x)", off, stream)

@@ -30,7 +30,7 @@ func (e *Engine) FusedRecords(code []byte, dst []uint64) []uint64 {
 	s := acquireState(e, code)
 	defer releaseState(s)
 	s.ensureRecs()
-	s.buildRecords(0, len(code))
+	s.buildRecords(len(code))
 	return append(dst, s.recs[:len(code)]...)
 }
 
@@ -160,7 +160,7 @@ func (e *Engine) VerifyScanInvariants(code []byte) error {
 	s2 := acquireState(e, code)
 	defer releaseState(s2)
 	s2.ensureRecs()
-	gotBE := s2.buildRecords(0, n)
+	gotBE := s2.buildRecords(n)
 	for off := range code {
 		if s2.recs[off] != ref[off] {
 			return recordDivergence("buildRecords", code, off, s2.recs[off], ref[off])
@@ -177,7 +177,7 @@ func (e *Engine) VerifyScanInvariants(code []byte) error {
 		s1 := acquireState(e, code)
 		defer releaseState(s1)
 		s1.ensureRecs()
-		s1.scanTraced(0, nil)
+		s1.scanTraced(nil)
 		for off := range code {
 			if s1.recs[off] != ref[off] {
 				return recordDivergence("scanFused", code, off, s1.recs[off], ref[off])

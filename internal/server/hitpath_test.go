@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/encoder"
+	"repro/internal/shellcode"
 	"repro/internal/telemetry/events"
 	"repro/internal/telemetry/tracing"
 )
@@ -252,5 +255,66 @@ func TestPoolCountsEachRequestOnce(t *testing.T) {
 	}
 	if ok != 5 || cached != 2 || deadline != 1 || other != 0 {
 		t.Fatalf("journal: ok=%d (cached %d) deadline=%d other=%d, want 5 (2) 1 0", ok, cached, deadline, other)
+	}
+}
+
+// TestPoolShedVerdictNotCached: a content verdict reached at a decode
+// depth shed under load must not outlive that load. A gzip-wrapped worm
+// dequeued while the queue is nearly full is scanned raw only and
+// answered benign; once the queue is idle, the same bytes are scanned
+// again at full depth and caught instead of being served from the
+// cache.
+func TestPoolShedVerdictNotCached(t *testing.T) {
+	det := newTestDetector(t)
+	pipe, err := content.NewPipeline(det.ScanTraced, content.PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queue = 20
+	pool, err := NewPool(PoolConfig{Detector: det, Workers: 1, QueueDepth: queue, CacheSize: 64, Content: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	worm, err := encoder.Encode(shellcode.Execve().Code, encoder.Options{Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := hitPathPayloads(t, 47, queue)
+	wrapped := content.EncodeGzip(append(append([]byte{}, ps[0][:500]...), worm.Bytes...))
+
+	// Pin the worker, then queue the worm ahead of queue-1 fillers. The
+	// worker takes the worm with the occupancy at (queue-1)/queue = 0.95,
+	// where the pipeline sheds decode to depth 0.
+	release, pinnedDone := pinWorker(t, pool, ps[0])
+	type result struct {
+		v      core.Verdict
+		cached bool
+		err    error
+	}
+	first := make(chan result, 1)
+	if err := pool.SubmitContent(wrapped, time.Time{}, func(v core.Verdict, cached bool, err error) {
+		first <- result{v, cached, err}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var fillers sync.WaitGroup
+	for _, p := range ps[1:] {
+		fillers.Add(1)
+		if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) { fillers.Done() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	<-pinnedDone
+	r := <-first
+	if r.err != nil || r.cached || r.v.Malicious || !r.v.Shed {
+		t.Fatalf("worm under load = (%+v, cached=%v, %v), want a fresh benign verdict marked Shed", r.v, r.cached, r.err)
+	}
+	fillers.Wait()
+
+	v, cached, err := pool.DoContent(context.Background(), wrapped)
+	if err != nil || cached || !v.Malicious || v.Shed || v.DecodeChain != "gzip" {
+		t.Fatalf("worm at idle = (%+v, cached=%v, %v), want a fresh malicious gzip verdict", v, cached, err)
 	}
 }

@@ -571,9 +571,10 @@ func (p *Pool) serve(j job) {
 		j.done(core.Verdict{}, false, wrapped)
 		return
 	}
-	if p.cache != nil {
+	if p.cache != nil && !v.Shed {
 		// The cached copy must not leak this request's trace id into
-		// future hits; each hit stamps its own.
+		// future hits; each hit stamps its own. A shed verdict is not
+		// cached: it would outlive the load that cut its decode depth.
 		cv := v
 		cv.TraceID = tracing.TraceID{}
 		p.cache.put(j.key, cv)

@@ -26,7 +26,6 @@ type TraceJSON struct {
 	Threshold   float64 `json:"threshold"`
 	Malicious   bool    `json:"malicious"`
 	Cached      bool    `json:"cached"`
-	CarryReused int     `json:"carry_reused,omitempty"`
 	// Content-pipeline fields; ViewIndex is a pointer so view 0 (the raw
 	// payload) still renders while non-pipeline scans omit the field.
 	ViewIndex     *int        `json:"view_index,omitempty"`
@@ -49,7 +48,6 @@ func Snapshot(t *Trace) TraceJSON {
 		Threshold:   t.Threshold,
 		Malicious:   t.Malicious,
 		Cached:      t.Cached,
-		CarryReused: t.RecordsReused,
 		Err:         t.Err,
 		Stages:      make([]StageJSON, 0, NumStages),
 	}

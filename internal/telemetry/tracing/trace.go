@@ -148,10 +148,6 @@ type Trace struct {
 	Threshold float64
 	Malicious bool
 	Cached    bool
-	// RecordsReused is the number of packed records the scan carried
-	// over from a previous overlapping window instead of re-decoding
-	// (zero for standalone scans).
-	RecordsReused int
 	// ViewIndex is the decoded view the verdict came from when the scan
 	// ran through the content pipeline: 0 for the raw payload, i>0 for
 	// the i-th decoded view (-1 when the pipeline was not involved).
@@ -238,17 +234,6 @@ func (t *Trace) SetVerdict(mel int, threshold float64, malicious bool) {
 	t.MEL = mel
 	t.Threshold = threshold
 	t.Malicious = malicious
-}
-
-// SetCarry records how many packed records the scan reused from a
-// previous overlapping window (the stream scanner's record carry).
-//
-//mel:hotpath
-func (t *Trace) SetCarry(reused int) {
-	if t == nil {
-		return
-	}
-	t.RecordsReused = reused
 }
 
 // SetContent records the content-pipeline outcome: which decoded view
