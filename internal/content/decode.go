@@ -87,12 +87,12 @@ func (d *Decoder) MaxDepth() int { return d.maxDepth }
 // when decoding was cut short by the output budget (ErrDecodeBudget);
 // views yielded before it are complete and valid.
 //
-// Each buffer is sniffed in one table-driven pass (classify), and a
-// layer is decoded only when its acceptance predicate holds on that
-// pass's counts, so a buffer that yields no view — plain text, the
-// common case — costs one pass and allocates nothing. Every view's Data
-// is a fresh allocation owned by the caller: it stays valid after the
-// loop and across later Views calls.
+// Each buffer is sniffed from one byte pass (bytePass), and a layer is
+// decoded only when its acceptance predicate holds on that pass's
+// counts, so a buffer that yields no view — plain text, the common
+// case — costs one pass and allocates nothing. Every view's Data is a
+// fresh allocation owned by the caller: it stays valid after the loop
+// and across later Views calls.
 //
 // maxDepth overrides the configured depth when in 1..MaxDepth — the
 // hook the load-shed policy uses to peel shallower under pressure.
@@ -101,19 +101,28 @@ func (d *Decoder) Views(payload []byte, maxDepth int) iter.Seq2[View, error] {
 		maxDepth = d.maxDepth
 	}
 	return func(yield func(View, error) bool) {
+		if len(payload) < minSniffLen {
+			return
+		}
+		_, all := passStats(payload, nil)
 		budget := d.maxOutput
-		d.walk(payload, Chain{}, maxDepth, &budget, yield)
+		d.walk(payload, all, Chain{}, maxDepth, &budget, nil, func(v View, _ TriageResult, err error) bool {
+			return yield(v, err)
+		})
 	}
 }
 
-// walk sniffs data, peels each layer that sniffs positive, yields the
-// view and recurses into it, charging every view to the payload's
-// shared budget. It returns false once iteration stops.
-func (d *Decoder) walk(data []byte, chain Chain, maxDepth int, budget *int64, yield func(View, error) bool) bool {
+// walk sniffs data, whose sniff counts are all, peels each layer that
+// sniffs positive, yields the view and recurses into it, charging every
+// view to the payload's shared budget. It returns false once iteration
+// stops. Each view is read by one byte pass, which feeds both its
+// nested sniff and, when gate is set, the gate result yielded with it
+// (a zero TriageResult without a gate).
+func (d *Decoder) walk(data []byte, all byteStats, chain Chain, maxDepth int, budget *int64, gate *Triage, yield func(View, TriageResult, error) bool) bool {
 	if chain.Len() >= maxDepth || len(data) < minSniffLen {
 		return true
 	}
-	s := sniff(data)
+	s := sniff(data, all)
 	for k := Kind(1); int(k) < numKinds; k++ {
 		out, ok := d.peel(k, data, &s, *budget)
 		if !ok {
@@ -122,15 +131,20 @@ func (d *Decoder) walk(data []byte, chain Chain, maxDepth int, budget *int64, yi
 		if out == nil {
 			// The layer sniffed positive but its decoded output would
 			// blow the budget: stop, reporting the typed guard error.
-			yield(View{}, ErrDecodeBudget)
+			yield(View{}, TriageResult{}, ErrDecodeBudget)
 			return false
 		}
 		*budget -= int64(len(out))
 		next := chain.Push(k)
-		if !yield(View{Data: out, Chain: next}, nil) {
+		var res TriageResult
+		var outAll byteStats
+		if gate != nil || (next.Len() < maxDepth && len(out) >= minSniffLen) {
+			res, outAll = passStats(out, gate)
+		}
+		if !yield(View{Data: out, Chain: next}, res, nil) {
 			return false
 		}
-		if !d.walk(out, next, maxDepth, budget, yield) {
+		if !d.walk(out, outAll, next, maxDepth, budget, gate, yield) {
 			return false
 		}
 	}
@@ -167,11 +181,10 @@ func (d *Decoder) peel(k Kind, data []byte, s *sniffResult, budget int64) ([]byt
 
 // --- the sniff pass ---
 
-// Byte classes of the sniff pass. A byte's class is the union of the
-// bits below; classify ORs them over a buffer and counts the two that
-// are tallied per byte (clsWS, clsLead) by masking.
+// Byte classes of the sniff. A byte's class is the union of the bits
+// below; the sniff ORs them over the bins its byte pass found occupied.
 const (
-	clsWS      uint16 = 1 << iota // space, tab, CR, LF; bit 0, so f&clsWS counts it
+	clsWS      uint16 = 1 << iota // space, tab, CR, LF
 	clsFold                       // space, tab: base64 folding the stdlib decoder does not skip
 	clsUpper                      // 'A'..'Z'
 	clsLower                      // 'a'..'z'
@@ -180,8 +193,7 @@ const (
 	clsForeign                    // outside the base64 alphabet, '=' and whitespace
 	clsHex                        // hex digit
 	clsColon                      // ':': every MIME header line has one
-	clsMark                       // '\n', '=', '%': handled by classify's per-byte branch
-	clsLead    uint16 = 1 << 15   // >= 0xC0, a UTF-8 lead byte; bit 15, so f>>15 counts it
+	clsLead    uint16 = 1 << 15   // >= 0xC0, a UTF-8 lead byte
 )
 
 // sniffClass maps each byte to its class bits.
@@ -215,16 +227,13 @@ var sniffClass = func() (t [256]uint16) {
 		if c >= 0xC0 {
 			f |= clsLead
 		}
-		if c == '\n' || c == '=' || c == '%' {
-			f |= clsMark
-		}
 		t[i] = f
 	}
 	return t
 }()
 
-// byteStats is what one classify pass learns about a buffer: every
-// count the peelers' acceptance predicates read.
+// byteStats is what the sniff learns about a buffer: every count the
+// peelers' acceptance predicates read.
 type byteStats struct {
 	seen     uint16 // union of the class bits of every byte
 	ws       int    // clsWS bytes
@@ -232,49 +241,6 @@ type byteStats struct {
 	qpEsc    int    // "=XX" hex escapes and "=\r\n" soft breaks
 	pctEsc   int    // "%XX" hex escapes
 	firstPad int    // offset of the first '=', or -1
-	longLine bool   // some run of non-'\n' bytes is qpLineMax or longer
-}
-
-// classify makes the one sniff pass over data. Bytes outside clsMark —
-// nearly all of them in text — cost a table load, an OR and two adds.
-//
-//mel:hotpath
-func classify(data []byte) byteStats {
-	st := byteStats{firstPad: -1}
-	var seen uint16
-	ws, leads, lineStart := 0, 0, 0
-	for i, c := range data {
-		f := sniffClass[c]
-		seen |= f
-		ws += int(f & clsWS)
-		leads += int(f >> 15)
-		if f&clsMark == 0 {
-			continue
-		}
-		switch c {
-		case '\n':
-			if i-lineStart >= qpLineMax {
-				st.longLine = true
-			}
-			lineStart = i + 1
-		case '=':
-			if st.firstPad < 0 {
-				st.firstPad = i
-			}
-			if i+2 < len(data) && ((data[i+1] == '\r' && data[i+2] == '\n') || (isHex(data[i+1]) && isHex(data[i+2]))) {
-				st.qpEsc++
-			}
-		case '%':
-			if i+2 < len(data) && isHex(data[i+1]) && isHex(data[i+2]) {
-				st.pctEsc++
-			}
-		}
-	}
-	if len(data)-lineStart >= qpLineMax {
-		st.longLine = true
-	}
-	st.seen, st.ws, st.leads = seen, ws, leads
-	return st
 }
 
 // cteKind is a Content-Transfer-Encoding a peeler acts on.
@@ -286,9 +252,9 @@ const (
 	cteQuotedPrintable
 )
 
-// sniffResult is a buffer's sniff: the classify counts of the whole
-// buffer and, when a MIME header block declares base64 or
-// quoted-printable, the body it frames with the body's own counts.
+// sniffResult is a buffer's sniff: the counts of the whole buffer and,
+// when a MIME header block declares base64 or quoted-printable, the
+// body it frames with the body's own counts.
 type sniffResult struct {
 	all       byteStats
 	cte       cteKind
@@ -296,15 +262,17 @@ type sniffResult struct {
 	bodyStats byteStats
 }
 
-// sniff classifies data and parses its MIME header block, once, for
-// every peeler. A buffer without a ':' has no header line to parse.
+// sniff pairs data's sniff counts, all, with a parse of its MIME header
+// block, once, for every peeler. A buffer without a ':' has no header
+// line to parse; a MIME body gets a byte pass of its own.
 //
 //mel:hotpath
-func sniff(data []byte) sniffResult {
-	s := sniffResult{all: classify(data)}
+func sniff(data []byte, all byteStats) sniffResult {
+	s := sniffResult{all: all}
 	if s.all.seen&clsColon != 0 {
 		if body, cte := mimeBody(data); cte != cteNone {
-			s.cte, s.body, s.bodyStats = cte, body, classify(body)
+			_, bodyStats := passStats(body, nil)
+			s.cte, s.body, s.bodyStats = cte, body, bodyStats
 		}
 	}
 	return s
@@ -624,7 +592,7 @@ func peelQuotedPrintable(body []byte, st *byteStats, declared bool, budget int64
 	if !declared && st.qpEsc < 4 {
 		return nil, false
 	}
-	if st.longLine && int64(len(body)) <= budget {
+	if int64(len(body)) <= budget && hasLongLine(body) {
 		return nil, false
 	}
 	out, err := readBudget(quotedprintable.NewReader(bytes.NewReader(body)), budget, int64(len(body)))
@@ -723,7 +691,7 @@ func peelUTF8(data []byte, st *byteStats, budget int64) ([]byte, bool) {
 // multi-byte rune or at least 8 of them. It returns the body after the
 // BOM and its multi-byte rune count. In valid UTF-8 every multi-byte
 // rune starts with exactly one byte >= 0xC0 and no other byte is, so
-// the count is the classify pass's lead-byte count, less the BOM's: no
+// the count is the byte pass's lead-byte count, less the BOM's: no
 // rune is decoded to reject, and pure ASCII (no lead byte) is rejected
 // before utf8.Valid runs.
 //

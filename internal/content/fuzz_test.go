@@ -26,6 +26,17 @@ func steps(seq func(func(View, error) bool)) []viewStep {
 	return out
 }
 
+// viewData lists the bytes of every view among steps.
+func viewData(steps []viewStep) [][]byte {
+	var out [][]byte
+	for _, s := range steps {
+		if s.err == nil {
+			out = append(out, s.data)
+		}
+	}
+	return out
+}
+
 // diffSteps describes the first difference between two step sequences,
 // or returns "" when they are identical: same chains, same bytes, same
 // terminal error, in the same order.
@@ -114,7 +125,9 @@ func decoderEdgeSeeds() map[string][]byte {
 // peelers, kept as a test-only oracle — yields: the same chains, the
 // same bytes and the same terminal error, in the same order, on a first
 // call and again on a second call through the same Decoder, whose
-// pooled inflater the first call left behind. It must also never
+// pooled inflater the first call left behind. On the payload and on
+// every view, the byte pass must match its oracles: Triage.Assess equal
+// to assessReference and the sniff counts equal to classifyReference's. It must also never
 // panic, every yielded view must respect the depth bound and carry a
 // well-formed chain, total decoded output must stay within the budget,
 // and the only error it may surface is the typed budget guard — once,
@@ -130,10 +143,12 @@ func FuzzDecodeViews(f *testing.F) {
 	// A gzip bomb seed: tiny wire bytes, large decoded output.
 	f.Add(EncodeGzip(make([]byte, 1<<20)), 4, int64(1<<10))
 	edges := decoderEdgeSeeds()
+	maps.Copy(edges, bytePassEdgeSeeds())
 	for _, name := range slices.Sorted(maps.Keys(edges)) {
 		f.Add(edges[name], 4, int64(1<<20))
 		f.Add(edges[name], 2, int64(4000))
 	}
+	tri := NewTriage(TriageConfig{})
 
 	f.Fuzz(func(t *testing.T, data []byte, maxDepth int, budget int64) {
 		// Fold the fuzzed bounds into the decoder's accepted ranges; the
@@ -155,6 +170,16 @@ func FuzzDecodeViews(f *testing.F) {
 		for call := 1; call <= 2; call++ {
 			if d := diffSteps(steps(dec.Views(data, 0)), want); d != "" {
 				t.Fatalf("call %d: Views differs from referenceViews: %s", call, d)
+			}
+		}
+		// The byte pass must reproduce both oracles on the payload and
+		// on every view the decoder peeled from it.
+		for i, buf := range append([][]byte{data}, viewData(want)...) {
+			if got, ref := tri.Assess(buf), assessReference(tri, buf); got != ref {
+				t.Fatalf("buffer %d: Assess = %+v, assessReference %+v", i, got, ref)
+			}
+			if d := diffSniff(tri, buf); d != "" {
+				t.Fatalf("buffer %d: %s", i, d)
 			}
 		}
 

@@ -154,8 +154,10 @@ func (p *Pipeline) Scan(payload []byte) (core.Verdict, error) {
 func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, error) {
 	p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.scans })
 
+	// One byte pass over the payload feeds both the gate and the
+	// decoder's first sniff.
 	tr.StageStart(tracing.StageTriage)
-	res := p.triage.Assess(payload)
+	res, all := passStats(payload, p.triage)
 	tr.StageEnd(tracing.StageTriage)
 	if p.m != nil {
 		p.m.score.Observe(res.Score)
@@ -193,11 +195,8 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 	}
 
 	tr.StageStart(tracing.StageContentDecode)
-	verdict, verr := p.scanViews(payload, depth, res.Score, tr)
+	verdict := p.scanViews(payload, all, depth, res.Score, tr)
 	tr.StageEnd(tracing.StageContentDecode)
-	if verr != nil {
-		return verdict, verr
-	}
 	if verdict.Malicious {
 		verdict.Shed = raw.Shed
 		tr.SetContent(verdict.ViewIndex, verdict.DecodeChain, res.Score, false)
@@ -208,21 +207,23 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 	return raw, nil
 }
 
-// scanViews walks the decoded views, triaging then scanning each, and
-// returns the first malicious verdict (zero Verdict when none flag).
-func (p *Pipeline) scanViews(payload []byte, depth int, score float64, tr *tracing.Trace) (core.Verdict, error) {
+// scanViews walks the decoded views of payload, whose sniff counts are
+// all, scanning each view its gate result does not clear, and returns
+// the first malicious verdict (zero Verdict when none flag).
+func (p *Pipeline) scanViews(payload []byte, all byteStats, depth int, score float64, tr *tracing.Trace) core.Verdict {
+	var hit core.Verdict
 	index := 0
-	for view, derr := range p.dec.Views(payload, depth) {
+	budget := p.dec.maxOutput
+	p.dec.walk(payload, all, Chain{}, depth, &budget, p.triage, func(view View, vres TriageResult, derr error) bool {
 		if derr != nil {
 			// Budget trip: the views already scanned stand; count and stop.
 			p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.budgetTrips })
-			break
+			return false
 		}
 		index++
-		vres := p.triage.Assess(view.Data)
 		if vres.Cleared {
 			p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.viewsCleared })
-			continue
+			return true
 		}
 		p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.viewsScanned })
 		v, err := p.scan(view.Data, tr)
@@ -230,17 +231,19 @@ func (p *Pipeline) scanViews(payload []byte, depth int, score float64, tr *traci
 			// A view that fails to scan (oversized after inflation, say)
 			// must not fail the whole request; the raw verdict stands.
 			p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.decodeErrors })
-			continue
+			return true
 		}
-		if v.Malicious {
-			p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.viewHits })
-			v.ViewIndex = index
-			v.DecodeChain = view.Chain.String()
-			v.TriageScore = score
-			return v, nil
+		if !v.Malicious {
+			return true
 		}
-	}
-	return core.Verdict{}, nil
+		p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.viewHits })
+		v.ViewIndex = index
+		v.DecodeChain = view.Chain.String()
+		v.TriageScore = score
+		hit = v
+		return false
+	})
+	return hit
 }
 
 // inc bumps one counter, tolerating a nil metrics struct.

@@ -113,33 +113,10 @@ type TriageResult struct {
 // back to math.Log2 (at most 256 calls per payload).
 var nLog2N [4096 + 1]float64
 
-// Byte classes for the single classification pass.
-const (
-	classOther  = 0 // non-printable
-	classText   = 1 // letters, digits, space, tab, CR, LF
-	classSymbol = 2 // printable punctuation
-)
-
-// byteClass maps each byte to its triage class; printable ⇔ class != 0.
-var byteClass [256]uint8
-
 func init() {
 	for i := 2; i < len(nLog2N); i++ {
 		nLog2N[i] = float64(i) * math.Log2(float64(i))
 	}
-	for c := 0x21; c <= 0x7e; c++ {
-		byteClass[c] = classSymbol
-	}
-	for c := 'a'; c <= 'z'; c++ {
-		byteClass[c] = classText
-	}
-	for c := 'A'; c <= 'Z'; c++ {
-		byteClass[c] = classText
-	}
-	for c := '0'; c <= '9'; c++ {
-		byteClass[c] = classText
-	}
-	byteClass[' '], byteClass['\t'], byteClass['\r'], byteClass['\n'] = classText, classText, classText, classText
 }
 
 // Triage is the configured clear gate. It is stateless and safe for
@@ -157,56 +134,37 @@ func NewTriage(cfg TriageConfig) *Triage {
 // Config returns the effective thresholds.
 func (t *Triage) Config() TriageConfig { return t.cfg }
 
-// Assess computes the triage statistics for data in one pass and
+// Assess computes the triage statistics for data in one byte pass and
 // scores it against the clear thresholds. It allocates nothing: the
 // histograms live on the stack and the result is a value.
 //
 //mel:hotpath
 func (t *Triage) Assess(data []byte) TriageResult {
-	n := len(data)
+	var st bufStats
+	bytePass(data, t, &st)
+	return t.result(&st)
+}
+
+// result scores a buffer's byte pass, made with t as its gate, against
+// the clear thresholds.
+//
+//mel:hotpath
+func (t *Triage) result(st *bufStats) TriageResult {
+	n := st.n
 	var res TriageResult
 	if n == 0 {
 		return res
 	}
-	var global [256]uint32
-	var block [256]uint32
-	printed := 0
-	blockSym := 0
-	fill := 0
-	maxBlock := 0.0
-	worstJoint := 0.0 // max over blocks of min(ent/BlockEntropy, sym/BlockSymbolRatio)
-	for _, c := range data {
-		global[c]++
-		block[c]++
-		cl := byteClass[c]
-		if cl != classOther {
-			printed++
-		}
-		if cl == classSymbol {
-			blockSym++
-		}
-		fill++
-		if fill == triageBlock {
-			maxBlock, worstJoint = t.closeBlock(&block, fill, blockSym, maxBlock, worstJoint)
-			block = [256]uint32{}
-			blockSym, fill = 0, 0
-		}
-	}
-	// A tail of at least half a block still contributes to the screen;
-	// smaller tails carry too little signal either way.
-	if fill >= triageBlock/2 {
-		maxBlock, worstJoint = t.closeBlock(&block, fill, blockSym, maxBlock, worstJoint)
-	}
-	res.Entropy = histEntropy(&global, n)
-	res.MaxBlockEntropy = maxBlock
+	res.Entropy = histEntropy(&st.hist, n)
+	res.MaxBlockEntropy = st.maxBlock
 	if n < triageBlock {
 		res.MaxBlockEntropy = res.Entropy
 	}
-	res.PrintableRatio = float64(printed) / float64(n)
+	res.PrintableRatio = float64(st.printable()) / float64(n)
 
 	// Score: every clear condition contributes margin/2, so crossing any
 	// threshold lands exactly at 0.5 and the max tracks the worst one.
-	score := worstJoint / 2
+	score := st.worstJoint / 2
 	if s := res.Entropy / (2 * t.cfg.MaxEntropy); s > score {
 		score = s
 	}
@@ -227,26 +185,8 @@ func (t *Triage) Assess(data []byte) TriageResult {
 		res.PrintableRatio >= t.cfg.MinPrintable &&
 		res.Entropy <= t.cfg.MaxEntropy &&
 		res.MaxBlockEntropy <= t.cfg.MaxBlockEntropy &&
-		worstJoint <= 1
+		st.worstJoint <= 1
 	return res
-}
-
-// closeBlock folds one finished block into the running screen state.
-//
-//mel:hotpath
-func (t *Triage) closeBlock(block *[256]uint32, fill, sym int, maxBlock, worstJoint float64) (float64, float64) {
-	h := histEntropy(block, fill)
-	if h > maxBlock {
-		maxBlock = h
-	}
-	joint := h / t.cfg.BlockEntropy
-	if s := float64(sym) / (float64(fill) * t.cfg.BlockSymbolRatio); s < joint {
-		joint = s
-	}
-	if joint > worstJoint {
-		worstJoint = joint
-	}
-	return maxBlock, worstJoint
 }
 
 // histEntropy computes the Shannon entropy (bits/byte) of a histogram

@@ -49,9 +49,12 @@ type StreamScanner struct {
 	window int
 	stride int
 
-	buf    []byte
-	offset int64
-	alerts []StreamAlert
+	buf []byte
+	// covered counts the leading bytes of buf that the last scanned
+	// full window already held: the overlap it left behind.
+	covered int
+	offset  int64
+	alerts  []StreamAlert
 }
 
 // NewStreamScanner wraps a detector: each window is judged by
@@ -104,11 +107,16 @@ func (s *StreamScanner) Write(p []byte) (int, error) {
 	for {
 		if len(s.buf) == 0 {
 			// Zero-copy fast path: scan complete windows in place.
+			scanned := false
 			for len(p) >= s.window {
 				if err := s.scanWindow(p[:s.window]); err != nil {
 					return n, err
 				}
 				p = p[s.stride:]
+				scanned = true
+			}
+			if scanned {
+				s.covered = min(len(p), s.window-s.stride)
 			}
 			s.buf = append(s.buf, p...)
 			return n, nil
@@ -126,6 +134,7 @@ func (s *StreamScanner) Write(p []byte) (int, error) {
 		// Keep the window overlap: copy it to the front of the buffer.
 		kept := copy(s.buf, s.buf[s.stride:])
 		s.buf = s.buf[:kept]
+		s.covered = kept
 	}
 }
 
@@ -148,9 +157,12 @@ func (s *StreamScanner) scanWindow(w []byte) error {
 }
 
 // Flush scans the trailing partial window (if any). Call once at end of
-// stream.
+// stream. A tail that lies wholly inside the last full window — a
+// stream one window plus a whole number of strides long — was already
+// scanned, so it is not scanned again.
 func (s *StreamScanner) Flush() error {
-	if len(s.buf) == 0 {
+	if len(s.buf) <= s.covered {
+		s.buf, s.covered = s.buf[:0], 0
 		return nil
 	}
 	v, err := s.scan(s.buf)
@@ -164,7 +176,7 @@ func (s *StreamScanner) Flush() error {
 			Verdict:   v,
 		})
 	}
-	s.buf = s.buf[:0]
+	s.buf, s.covered = s.buf[:0], 0
 	return nil
 }
 

@@ -185,7 +185,8 @@ func TestAlertsReturnsCopy(t *testing.T) {
 
 // windowAlerts is the stream scanner's specification: Detector.Scan on
 // every full window at a multiple of stride, then on the trailing bytes
-// from the first window position that did not fit.
+// from the first window position that did not fit, when some of them lie
+// past the end of the last full window.
 func windowAlerts(t *testing.T, d *Detector, stream []byte, window, stride int) []StreamAlert {
 	t.Helper()
 	var out []StreamAlert
@@ -202,7 +203,9 @@ func windowAlerts(t *testing.T, d *Detector, stream []byte, window, stride int) 
 	for ; off+window <= len(stream); off += stride {
 		judge(off, stream[off:off+window])
 	}
-	if off < len(stream) {
+	// The tail is a window of its own only when it reaches past the end
+	// of the last full window; otherwise that window already held it.
+	if off < len(stream) && (off == 0 || len(stream) > off-stride+window) {
 		judge(off, stream[off:])
 	}
 	return out
@@ -257,6 +260,51 @@ func TestStreamChunkingInvariance(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("worm at %d, chunk %d, alert %d: %+v, per-window scan %+v", at, chunk, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestStreamFlushSkipsCoveredTail: a stream one window plus a whole
+// number of strides long ends inside its last full window, so a worm in
+// its last stride alerts once — from that window — however the stream
+// is chunked, not a second time from a Flush of the same bytes.
+func TestStreamFlushSkipsCoveredTail(t *testing.T) {
+	d := streamDetector(t)
+	cases, err := corpus.Dataset(61, 12, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := encoder.Encode(shellcode.Execve().Code, encoder.Options{Seed: 7, SledLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, stride = 4096, 2048
+	benign := corpus.Concat(cases)
+	for _, k := range []int{0, 1, 5} {
+		stream := bytes.Clone(benign[:window+k*stride])
+		copy(stream[len(stream)-stride+(stride-len(w.Bytes))/2:], w.Bytes)
+		for _, chunk := range []int{0, 1000, stride, window + 1} {
+			s, err := NewStreamScanner(d, window, stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(stream); {
+				end := len(stream)
+				if chunk > 0 {
+					end = min(off+chunk, len(stream))
+				}
+				if _, err := s.Write(stream[off:end]); err != nil {
+					t.Fatal(err)
+				}
+				off = end
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			alerts := s.Alerts()
+			if len(alerts) != 1 || alerts[0].Offset != int64(k*stride) {
+				t.Fatalf("%d-byte stream, chunk %d: alerts %+v, want one from the window at %d", len(stream), chunk, alerts, k*stride)
 			}
 		}
 	}

@@ -191,6 +191,8 @@ func (p *Pool) Metrics() *telemetry.Registry { return p.reg }
 // full queue sheds the request with ErrOverloaded and a closed pool
 // rejects it with ErrShuttingDown; done is then never called. A
 // non-zero deadline expires queued requests with ErrDeadlineExceeded.
+// The pool does not read payload after done returns, on any path, so
+// done may hand payload's memory on for reuse.
 //
 //mel:hotpath
 func (p *Pool) Submit(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {

@@ -287,9 +287,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	maxBody := uint32(headerLen + s.cfg.MaxPayload + maxFrameSlop)
 	// buf is the request buffer frames are read into. It is reused
-	// until a request that was queued takes it along; only then does
-	// the next frame get a fresh one.
+	// until a request that was queued takes it along; the next frame
+	// then takes the buffer a finished queued request handed back
+	// through spare, or a fresh one when none is waiting.
 	var buf []byte
+	spare := make(chan []byte, 1)
 reading:
 	for {
 		if s.cfg.ReadTimeout > 0 {
@@ -302,6 +304,12 @@ reading:
 		}
 		if cap(buf) > maxKeptReadBuf {
 			buf = nil
+		}
+		if buf == nil {
+			select {
+			case buf = <-spare:
+			default:
+			}
 		}
 		typ, id, payload, err := readFrameInto(br, maxBody, &buf)
 		if err != nil && !errors.Is(err, errFrameTooLarge) {
@@ -368,12 +376,22 @@ reading:
 		// cache hit, or on a worker that beat the reader — and then
 		// leaves the outcome for the reader to write directly.
 		rs := &reqState{id: id, content: isContent, tr: tr}
+		frame := buf
 		done := func(v core.Verdict, cached bool, scanErr error) {
 			rs.v, rs.cached, rs.err = v, cached, scanErr
 			if rs.state.CompareAndSwap(reqPending, reqInline) {
 				return
 			}
 			respond(rs.appendResponse(nil))
+			// Queued: the pool is done with payload once done runs, and
+			// the response no longer reads it, so its frame buffer can
+			// carry the reader's next frame.
+			if cap(frame) <= maxKeptReadBuf {
+				select {
+				case spare <- frame:
+				default:
+				}
+			}
 			reqWG.Done()
 		}
 		switch {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -487,5 +488,68 @@ func TestRequestDeadlineExpiresTyped(t *testing.T) {
 	<-blockDone
 	if err := <-expired; !errors.Is(err, server.ErrDeadlineExceeded) {
 		t.Fatalf("expired job err = %v, want ErrDeadlineExceeded", err)
+	}
+}
+
+// TestQueuedFrameBufferReuseHammer: many distinct payloads of mixed
+// lengths, pipelined on one connection into a multi-worker pool with no
+// verdict cache, so every request is queued and each finished request
+// hands its frame buffer back for a later frame to be read into. A
+// buffer recycled while a worker still read it would scan another
+// request's bytes; every wire verdict must equal the in-process one.
+func TestQueuedFrameBufferReuseHammer(t *testing.T) {
+	det, err := core.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, server.Config{Detector: det, Workers: 3, QueueDepth: 256, CacheSize: -1})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var payloads [][]byte
+	for i, p := range benignPayloads(t, 23, 48) {
+		payloads = append(payloads, p[:1024+(i*331)%3072])
+	}
+	for seed := uint64(0); seed < 8; seed++ {
+		payloads = append(payloads, wormPayload(t, seed))
+	}
+	want := make([]core.Verdict, len(payloads))
+	for i, p := range payloads {
+		if want[i], err = det.Scan(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const goroutines, rounds = 8, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range payloads {
+					i := (k*7 + g*5 + r) % len(payloads)
+					got, err := c.Scan(payloads[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got.Malicious != want[i].Malicious || got.MEL != want[i].MEL ||
+						got.BestStart != want[i].BestStart || got.Threshold != want[i].Threshold {
+						errs <- fmt.Errorf("payload %d: wire verdict %+v, in-process %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
