@@ -63,8 +63,10 @@ test:
 # — which include the lint framework's own tests and the self-hosting
 # TestRepoIsClean gate — short fuzz smokes over the wire codec, the
 # content decoder (whose fuzz target checks Views against the reference
-# peelers) and the scan core (fused and traced scans, stream windows
-# and ScanReference against each other), and the bench guard, which
+# peelers), the scan core (fused and traced scans, stream windows
+# and ScanReference against each other) and the x86 spec decoder that
+# serves every offset the scan core's tables leave unresolved, and the
+# bench guard, which
 # fails the gate outright if the engine regressed against the committed
 # BENCH_engine.json.
 ci: build vet lint verify
@@ -72,6 +74,7 @@ ci: build vet lint verify
 	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
 	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s ./internal/mel/
+	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/x86/
 	$(MAKE) bench-guard
 
 # bench-smoke runs the engine benchmark once with the JSON artifact

@@ -19,12 +19,12 @@ import (
 // melverify: the decoder-equivalence prover.
 //
 // The MEL detector is only as trustworthy as its instruction-length
-// decoder: one encoding where the fused quick1/quick2/decodeSlow path
-// disagrees with the reference decoder silently shifts MEL and breaks
-// the detector's false-positive guarantee. The runtime differential
-// suite samples that agreement; this analyzer family proves it over
-// the bounded x86 encoding space and turns every divergence into a
-// concrete byte-sequence witness.
+// decoder: one encoding where the quick1/segDerive/quick2/expandSIB
+// table layers disagree with the spec decoder that serves every other
+// offset silently shifts MEL and breaks the detector's false-positive
+// guarantee. The runtime differential suite samples that agreement;
+// this analyzer family proves it over the bounded x86 encoding space
+// and turns every divergence into a concrete byte-sequence witness.
 //
 // Three legs, two analyzers:
 //
@@ -33,12 +33,12 @@ import (
 //     fields holding integer arrays of ≥ 256 slots — must be in the
 //     prover's modeled set. A new table cannot dodge verification
 //     silently.
-//   - decodeprover, static leg 2 (constructors): the ModRM/SIB
-//     address-form table constructors are abstractly interpreted from
-//     their source (value-accurate, not just coverage — see
-//     packedtable.go), and the result is compared element-by-element
-//     against an independently written ISA specification and against
-//     the tables linked into this very binary.
+//   - decodeprover, static leg 2 (constructors): the SIB address-form
+//     table constructor is abstractly interpreted from its source
+//     (value-accurate, not just coverage — see packedtable.go), and
+//     the result is compared element-by-element against an
+//     independently written ISA specification and against the tables
+//     linked into this very binary.
 //   - decodeprover, dynamic leg: the bounded encoding space — prefix
 //     set × opcode ± 0F map × ModRM × SIB × displacement/immediate
 //     classes, plus truncation at every cut point — is exhaustively
@@ -426,8 +426,8 @@ func (pr *proverRun) layerPrefixPairs(pe *proverEngine) {
 
 // layerSIB: every ModRM opcode of both maps × every memory mod × every
 // reg field × every SIB byte, against a zero and a sign-extreme
-// displacement class. Proves compileSIBPartial/expandSIB and the SIB
-// half of decodeSlow against the spec for the complete SIB space.
+// displacement class. Proves compileSIBPartial/expandSIB against the
+// spec for the complete SIB space.
 func (pr *proverRun) layerSIB(pe *proverEngine) {
 	pr.layer = "sib"
 	tails := [][]byte{bytes.Repeat([]byte{0x00}, 8), bytes.Repeat([]byte{0x80}, 8)}
@@ -559,14 +559,14 @@ func findFuncPos(pkg *Package, name string) token.Pos {
 // modeledTables is the prover's model boundary: every engine-lifetime
 // packed table it verifies, by the dynamic leg (quick1, quick2, meta1,
 // meta2 through the enumerated encoding space), the static constructor
-// leg (modrmTab, sibTab0, sibTabN), or the prefix derivation layers
-// (segPrefixByte).
+// leg (sibTab0, sibTabN), or the prefix derivation layers
+// (segPrefixByte). Offsets no table resolves go to the spec decoder
+// itself, which needs no proof against itself.
 var modeledTables = map[string]string{
 	"quick1":        "dynamic enumeration",
 	"quick2":        "dynamic enumeration",
 	"meta1":         "dynamic enumeration",
 	"meta2":         "dynamic enumeration",
-	"modrmTab":      "constructor interpretation + SIB layer",
 	"sibTab0":       "constructor interpretation + SIB layer",
 	"sibTabN":       "constructor interpretation + SIB layer",
 	"segPrefixByte": "prefix layers",
@@ -622,41 +622,11 @@ func checkTableInventory(pass *Pass, pkg *Package) {
 	}
 }
 
-// Independent address-form specification, written from the 32-bit
-// ModRM/SIB definition rather than from the constructors' structure.
-// Layout must match records.go's address tables: bits 0-3 base+1, bits
-// 4-7 index+1, bits 8-10 displacement size, bit 11 disp-only, bit 12
-// SIB follows.
-const (
-	specDispOnly = 1 << 11
-	specSIB      = 1 << 12
-)
-
-// modrmSpecEntry: for mod != 3, the displacement size comes from mod
-// (0, disp8, disp32), rm selects the base register, rm=4 defers to a
-// SIB byte, and mod=0 rm=5 is the absolute disp32 form with no base.
-func modrmSpecEntry(b int) uint16 {
-	mod, rm := b>>6, b&7
-	if mod == 3 {
-		return 0 // register form: never consulted
-	}
-	var v uint16
-	switch mod {
-	case 1:
-		v = 1 << 8
-	case 2:
-		v = 4 << 8
-	}
-	switch {
-	case rm == 4:
-		v |= specSIB
-	case mod == 0 && rm == 5:
-		v = 4<<8 | specDispOnly
-	default:
-		v |= uint16(rm) + 1
-	}
-	return v
-}
+// Independent address-form specification, written from the 32-bit SIB
+// definition rather than from the constructor's structure. Layout must
+// match records.go's SIB tables: bits 0-3 base+1, bits 4-7 index+1,
+// bits 8-10 displacement size, bit 11 disp-only.
+const specDispOnly = 1 << 11
 
 // sibSpecEntry: index 4 means no index; at mod 0 a base field of 5
 // means disp32 with no base register (disp-only when no index either);
@@ -679,18 +649,17 @@ func sibSpecEntry(mod0 bool, sib int) uint16 {
 }
 
 // checkAddressConstructors is the value-accurate static leg: interpret
-// buildModrmTab and buildSibTabs from source, then hold interpretation,
-// independent specification, and the linked-in tables to pairwise
-// agreement. A disagreement names the legs that diverged, so the
-// finding says whether the source, the spec model, or the build is
-// wrong.
+// buildSibTabs from source, then hold interpretation, independent
+// specification, and the linked-in tables to pairwise agreement. A
+// disagreement names the legs that diverged, so the finding says
+// whether the source, the spec model, or the build is wrong.
 func checkAddressConstructors(pass *Pass, pkg *Package) {
-	if mel.AddrDispOnly != specDispOnly || mel.AddrSIB != specSIB {
-		pass.Reportf(pkg.Files[0].Package, "address-table layout bits moved: prover spec (dispOnly %#x, sib %#x) vs mel (dispOnly %#x, sib %#x)",
-			specDispOnly, specSIB, mel.AddrDispOnly, mel.AddrSIB)
+	if mel.AddrDispOnly != specDispOnly {
+		pass.Reportf(pkg.Files[0].Package, "address-table layout bits moved: prover spec dispOnly %#x vs mel %#x",
+			specDispOnly, mel.AddrDispOnly)
 		return
 	}
-	liveModrm, liveSib0, liveSibN := mel.AddressTables()
+	liveSib0, liveSibN := mel.AddressTables()
 	check := func(fnName, resName string, live *[256]uint16, spec func(int) uint16) {
 		var fd *ast.FuncDecl
 		eachFunc(pkg, func(d *ast.FuncDecl) {
@@ -721,7 +690,6 @@ func checkAddressConstructors(pass *Pass, pkg *Package) {
 				resName, i, interp, specV, liveV)
 		}
 	}
-	check("buildModrmTab", "t", &liveModrm, modrmSpecEntry)
 	check("buildSibTabs", "t0", &liveSib0, func(i int) uint16 { return sibSpecEntry(true, i) })
 	check("buildSibTabs", "tn", &liveSibN, func(i int) uint16 { return sibSpecEntry(false, i) })
 }

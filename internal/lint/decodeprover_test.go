@@ -112,8 +112,8 @@ func TestStaticLegsCleanOnRepo(t *testing.T) {
 }
 
 // TestInterpretTableFuncOnConstructors pins the value-accurate
-// interpreter itself: it must fully evaluate both address-table
-// constructors and reproduce the linked tables element for element.
+// interpreter itself: it must fully evaluate the SIB address-table
+// constructor and reproduce both linked tables element for element.
 func TestInterpretTableFuncOnConstructors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
@@ -126,12 +126,11 @@ func TestInterpretTableFuncOnConstructors(t *testing.T) {
 	if melPkg == nil {
 		t.Fatal("internal/mel not found in module load")
 	}
-	liveModrm, liveSib0, liveSibN := mel.AddressTables()
+	liveSib0, liveSibN := mel.AddressTables()
 	for _, tc := range []struct {
 		fn, res string
 		live    [256]uint16
 	}{
-		{"buildModrmTab", "t", liveModrm},
 		{"buildSibTabs", "t0", liveSib0},
 		{"buildSibTabs", "tn", liveSibN},
 	} {

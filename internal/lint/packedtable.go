@@ -10,7 +10,7 @@ import (
 
 // Packed record tables are the second table family the decoder leans
 // on: arrays of at least packedMinLen integer slots (quick1, the
-// pointer-held quick2, modrmTab, the SIB tables) built by bounded
+// pointer-held quick2, the SIB tables) built by bounded
 // fill loops. Unlike the entry-struct constructors, zero is a legal
 // value here — "no quick form", "no memory operand" — so per-slot
 // write tracking would drown in false positives. Coverage is instead

@@ -58,7 +58,7 @@ type Engine struct {
 	// fields are all known), one prefix followed by such a first-byte
 	// form, and 0x0F-escaped forms without ModRM. Entries are compiled
 	// by running the reference decoder on zero-padded two-byte probes;
-	// 0 means undetermined — take the fused walk.
+	// 0 means undetermined — the spec decoder decides.
 	quick2 *[256][256]uint32
 }
 
@@ -697,7 +697,7 @@ func (s *scanState) scanFused() (best, bestStart int) {
 				goto store
 			}
 		}
-		r = s.decodeSlow(off)
+		r = e.recFullAt(code, off)
 		if backEdgeRec(r) {
 			goto abort
 		}

@@ -11,15 +11,17 @@ import (
 // — encoded length, control kind, required registers, the compiled
 // register transition, and the branch displacement.
 //
-// The fused decoder below does not materialize an x86.Inst: it walks
-// prefixes, the opcode maps, ModRM/SIB and immediate sizes directly,
-// against per-engine meta tables that were compiled from the x86
-// package's table export with the engine's invalidity rules already
-// folded in. The rare forms it does not inline (0x67 16-bit
-// addressing, 0F 38/3A three-byte opcodes) fall back to the full
-// decoder through recFull, which is also the executable specification
-// the fused path is property-tested against (records_test.go) — both
-// must produce bit-identical records on every input.
+// Every record comes from one of three places: a quick-table entry
+// compiled from the spec decoder (quick1, quick2, and the quick2 SIB
+// partials), an arithmetic derivation (segDerive over the successor's
+// record, expandSIB over a partial), or the spec decoder itself
+// (recFullAt: x86.DecodeInto + packRec), which serves every offset the
+// tables and derivations leave unresolved. The tables are compiled
+// once per engine against per-engine meta words that fold the engine's
+// invalidity rules into the x86 package's table export. The exact
+// decode the paper's α bound rests on is thus a property of one
+// decoder; records_test.go and melverify hold the table layers to it
+// bit for bit.
 
 // Packed record layout (uint64):
 //
@@ -178,12 +180,11 @@ func countBackEdges(recs []uint64) int {
 //	bit   9     immediate is a relative branch displacement
 //	bit  10     prefix byte
 //	bit  11     0x0F escape to the two-byte map
-//	bit  12     fused decode unsupported; take the recFull fallback
+//	bit  12     no table form (0x67, 0F 38/3A): the spec decoder decides
 //	bits 13-15  control kind under the engine's rules (group bytes: seq)
 //	bits 16-18  register-transition class (tcNone..tcMovzx)
 //	bits 19-26  static transition argument, or implicit-memory needRegs
 //	bits 27-28  static transition kind (tcStatic only)
-//	bit  29     register form (mod=3) is #UD
 //	bit  30     POP Ev: ModRM.reg != 0 is #UD
 //	bit  31     explicit ModRM memory semantics (table mem != none)
 //	bit  32     implicit memory access (moffs, XLAT, string)
@@ -201,17 +202,11 @@ const (
 	metaTransShift  = 16
 	metaArgShift    = 19
 	metaTrKindShift = 27
-	metaMod3UD      = uint64(1) << 29
 	metaPopEv       = uint64(1) << 30
 	metaMemSem      = uint64(1) << 31
 	metaImplMem     = uint64(1) << 32
 	metaMoffs       = uint64(1) << 33
 	metaGroupShift  = 34
-
-	// metaSpecial gates the rare per-ModRM checks (group dispatch,
-	// mod-3 #UD, POP Ev reg constraint) behind one test so plain ALU
-	// forms skip them.
-	metaSpecial = metaMod3UD | metaPopEv | uint64(7)<<metaGroupShift
 
 	// metaTransMask is the transition-class field; nonzero only for
 	// the handful of register-revealing opcodes.
@@ -226,7 +221,6 @@ const (
 	tcStatic       // kind+arg in the meta word
 	tcMovRM        // 8A/8B mov reg, r/m
 	tcLEA          // 8D lea
-	tcXorSub       // 28-2B sub / 30-33 xor: reg==rm zeroes the register
 	tcMovzx        // 0F B6/B7/BE/BF movzx/movsx
 )
 
@@ -238,14 +232,12 @@ const (
 //	bit   4     immediate lengths below override the base row's
 //	bits  5-8   immediate length, 32-bit operand size
 //	bits  9-12  immediate length, 16-bit operand size
-//	bit  13     grp1 XOR/SUB slot (reg==rm at mod 3 zeroes the register)
 const (
 	grpKindMask    = 7
 	grpMemSem      = 1 << 3
 	grpImmOverride = 1 << 4
 	grpImm32Shift  = 5
 	grpImm16Shift  = 9
-	grpXorSub      = 1 << 13
 )
 
 // Engine-internal group ids (meta bits 34-36). Group 3 splits by opcode
@@ -298,8 +290,6 @@ func staticTransOf(twoByte bool, b byte) (class, trKind, trArg uint8) {
 		return tcStatic, transOr, 1 << (b & 7)
 	case b == 0x61: // popa
 		return tcStatic, transOr, 0xFF
-	case b >= 0x28 && b <= 0x2B, b >= 0x30 && b <= 0x33: // sub/xor r/m
-		return tcXorSub, 0, 0
 	case b == 0x8A || b == 0x8B: // mov reg, r/m
 		return tcMovRM, 0, 0
 	case b == 0x8D: // lea
@@ -348,7 +338,7 @@ func (e *Engine) compileMeta() {
 // Trailing bytes cannot change such a record: displacement and
 // immediate values are never stored, except a trailing rel8
 // displacement, which is marked with quickRel8 and patched at scan
-// time. rel16/32 forms stay on the fused walk.
+// time. rel16/32 forms go to the spec decoder.
 func (e *Engine) compileQuick2() {
 	e.quick2 = new([256][256]uint32)
 	var probe [2 + x86.MaxInstLen]byte
@@ -373,7 +363,7 @@ func (e *Engine) compileQuick2() {
 				}
 				if m1&metaIsRel != 0 {
 					if immLen != 1 {
-						continue // rel16/32 after a prefix: fused walk
+						continue // rel16/32 after a prefix: spec decoder
 					}
 					rel8 = true
 				}
@@ -414,12 +404,13 @@ func (e *Engine) compileQuick2() {
 }
 
 // compileSIBPartial compiles the quick2 partial for one (opcode,
-// ModRM) pair whose memory form takes a SIB byte. It mirrors
-// decodeSlow restricted to that shape: no prefixes, one-byte opcode
-// map, mod != 3. The stored length counts opcode + ModRM + SIB +
-// mod-implied displacement + immediate; the SIB-implied displacement
-// is added at expansion. LEA is the one form whose register
-// transition depends on the SIB base, so it stays on decodeSlow.
+// ModRM) pair whose memory form takes a SIB byte: no prefixes,
+// one-byte opcode map, mod != 3, so the register-form rules (mod-3
+// #UD, xor/sub reg==rm zeroing) cannot apply. The stored length counts
+// opcode + ModRM + SIB + mod-implied displacement + immediate; the
+// SIB-implied displacement is added at expansion. LEA is the one form
+// whose register transition depends on the SIB base, so it stays on
+// the spec decoder.
 func (e *Engine) compileSIBPartial(m uint64, modrm byte) (uint64, bool) {
 	tracking := e.rules.TrackRegisterInit
 	mod := modrm >> 6
@@ -432,24 +423,20 @@ func (e *Engine) compileSIBPartial(m uint64, modrm byte) (uint64, bool) {
 	imm66 := immLen == m>>metaImm16Shift&0xF
 	memSem := m&metaMemSem != 0
 	var trKind, trArg uint8
-	if m&metaSpecial != 0 {
-		if gid := m >> metaGroupShift & 7; gid != 0 {
-			gm := e.grpMeta[gid][reg]
-			kind = uint8(gm & grpKindMask)
-			if kind == ctrlInvalid {
-				return recInvalidPacked, true
-			}
-			memSem = gm&grpMemSem != 0
-			if gm&grpImmOverride != 0 {
-				imm66 = gm>>grpImm32Shift&0xF == gm>>grpImm16Shift&0xF
-				immLen = uint64(gm >> grpImm32Shift & 0xF)
-			}
-			// grpXorSub needs mod == 3; not this shape.
-		}
-		// metaMod3UD needs mod == 3; not this shape.
-		if m&metaPopEv != 0 && reg != 0 {
+	if gid := m >> metaGroupShift & 7; gid != 0 {
+		gm := e.grpMeta[gid][reg]
+		kind = uint8(gm & grpKindMask)
+		if kind == ctrlInvalid {
 			return recInvalidPacked, true
 		}
+		memSem = gm&grpMemSem != 0
+		if gm&grpImmOverride != 0 {
+			imm66 = gm>>grpImm32Shift&0xF == gm>>grpImm16Shift&0xF
+			immLen = uint64(gm >> grpImm32Shift & 0xF)
+		}
+	}
+	if m&metaPopEv != 0 && reg != 0 {
+		return recInvalidPacked, true
 	}
 	if tracking && m&metaTransMask != 0 {
 		switch uint8(m>>metaTransShift) & 7 {
@@ -463,7 +450,6 @@ func (e *Engine) compileSIBPartial(m uint64, modrm byte) (uint64, bool) {
 		case tcMovzx:
 			trKind, trArg = transOr, 1<<reg
 		}
-		// tcXorSub needs mod == 3; not this shape.
 	}
 	var dispLen uint64
 	switch mod {
@@ -493,7 +479,7 @@ func (e *Engine) compileSIBPartial(m uint64, modrm byte) (uint64, bool) {
 // expandSIB finishes a quickSIB partial against the stream: one SIB
 // table load resolves the base/index registers and the SIB-implied
 // displacement, then the truncation check and the memory-dependent
-// rules run exactly as decodeSlow would run them (segment overrides
+// rules run as the spec decoder applies them (segment overrides
 // cannot occur — partials are only consulted with the opcode byte
 // first). The result is a finished record; SIB forms carry no branch
 // displacement, so it can never be a back edge.
@@ -536,7 +522,7 @@ func expandSIB(q uint64, code []byte, off, n int) uint64 {
 // printable ASCII (inc/dec/push/pop, the imm ALU forms, rule-invalid
 // bytes, and rel8 branches via the quickRel8 patch flag), so the record
 // builder resolves typical text offsets in two table loads. Zero means
-// no quick form; the fused walk decides.
+// no quick form; the spec decoder decides.
 func (e *Engine) compileQuick() {
 	tracking := e.rules.TrackRegisterInit
 	for b := 0; b < 256; b++ {
@@ -556,7 +542,7 @@ func (e *Engine) compileQuick() {
 		}
 		if m&metaIsRel != 0 {
 			if immLen != 1 {
-				continue // rel16/32: displacement read stays on the fused walk
+				continue // rel16/32: the spec decoder reads the displacement
 			}
 			rec |= quickRel8
 			if kind == ctrlJump {
@@ -622,7 +608,7 @@ func (e *Engine) compileEntry(ti x86.TableInfo, twoByte bool, b byte) uint64 {
 		imm32, imm16 = 6, 4
 	case x86.ShapeMoffs:
 		// moffs is address-size sized; 16-bit addressing (0x67) takes
-		// the fallback path, so both widths compile to 4.
+		// the spec decoder, so both widths compile to 4.
 		imm32, imm16 = 4, 4
 	}
 	m |= imm32<<metaImm32Shift | imm16<<metaImm16Shift
@@ -648,11 +634,6 @@ func (e *Engine) compileEntry(ti x86.TableInfo, twoByte bool, b byte) uint64 {
 				m |= need << metaArgShift
 			}
 		}
-	}
-	switch ti.Op {
-	case x86.OpBOUND, x86.OpLES, x86.OpLDS, x86.OpLSS, x86.OpLFS,
-		x86.OpLGS, x86.OpLEA, x86.OpCMPXCHG8B:
-		m |= metaMod3UD
 	}
 	if !twoByte && b == 0x8F {
 		m |= metaPopEv
@@ -698,9 +679,6 @@ func (e *Engine) compileGroup(gid int, group uint8, imm32, imm16 uint32) {
 		if (imm32 != 0 || imm16 != 0) && reg <= 1 {
 			gm |= grpImmOverride | imm32<<grpImm32Shift | imm16<<grpImm16Shift
 		}
-		if gid == gidGrp1 && (reg == 5 || reg == 6) {
-			gm |= grpXorSub
-		}
 		e.grpMeta[gid][reg] = gm
 	}
 }
@@ -734,22 +712,18 @@ func (s *scanState) lazyRec(off int) uint64 {
 	if q := s.e.quick1[s.code[off]]; q != 0 {
 		r, _ = patchQuick(q, s.code, off, len(s.code))
 	} else {
-		r = s.recFull(off)
+		r = s.e.recFullAt(s.code, off)
 	}
 	s.recs[off] = r
 	return r
 }
 
-// recFull builds the packed record for one offset through the full
-// decoder — the fallback for forms the fused loop does not inline, and
-// the executable specification it is tested against.
-func (s *scanState) recFull(off int) uint64 {
-	return s.e.recFullAt(s.code, off)
-}
-
-// recFullAt is recFull over an arbitrary buffer — the form the quick2
-// compiler uses to evaluate the spec decoder on synthetic two-byte
-// probes.
+// recFullAt builds the packed record for one offset through the spec
+// decoder: a full x86 decode with the engine's rule set applied. It
+// serves every offset the quick tables and derivations leave
+// unresolved, evaluates the quick2 compiler's synthetic two-byte
+// probes, and is the specification the table layers are tested
+// against.
 func (e *Engine) recFullAt(code []byte, off int) uint64 {
 	var inst x86.Inst
 	if x86.DecodeInto(&inst, code, off) != nil || e.invalidBase(&inst) {
@@ -831,8 +805,8 @@ func immWidthsEqual(inst *x86.Inst) bool {
 }
 
 // buildRecords compiles every offset in [0, to) to its packed record
-// in one backward pass over the quick tables and the slow fused
-// decoder — backward so a segment-override prefix can derive its record
+// in one backward pass over the quick tables, the derivations and the
+// spec decoder — backward so a segment-override prefix can derive its record
 // from the already-final successor record (segDerive; the record at to,
 // if any, must already be in place). Offsets from to on keep their
 // records — the fused pass's suffix. It returns the number of back
@@ -867,7 +841,7 @@ func (s *scanState) buildRecords(to int) (backEdges int) {
 					continue
 				}
 				// 0x66 over a size-sensitive or invalid suffix: the
-				// record is not derivable — quick2 or the slow path.
+				// record is not derivable — quick2 or the spec decoder.
 			}
 			if q := uint64(e.quick2[b][code[off+1]]); q != 0 {
 				if q&quickSIB != 0 {
@@ -882,7 +856,7 @@ func (s *scanState) buildRecords(to int) (backEdges int) {
 				continue
 			}
 		}
-		r := s.decodeSlow(off)
+		r := e.recFullAt(code, off)
 		recs[off] = r
 		if backEdgeRec(r) {
 			backEdges++
@@ -908,293 +882,19 @@ func patchQuick(q uint64, code []byte, off, n int) (uint64, bool) {
 	return q, false
 }
 
-// decodeSlow compiles the record for one offset that neither quick
-// table resolves: prefixes, opcode maps, ModRM/SIB and immediate sizes
-// are walked directly against the engine's compiled meta tables,
-// without materializing an x86.Inst and without reading immediate or
-// displacement values (branch displacements excepted). The rare forms
-// the fused walk does not inline (0x67 16-bit addressing, 0F 38/3A
-// three-byte opcodes) fall back to the full decoder.
+// SIB address-form tables: the SIB half of the ModRM/SIB decode
+// flattened into two 256-entry arrays, so expandSIB resolves the base
+// and index registers, the SIB-implied displacement size and the
+// disp-only form in one load. Global — they encode the ISA, not any
+// rule set.
 //
-//mel:hotpath
-func (s *scanState) decodeSlow(off int) uint64 {
-	code := s.code
-	n := len(code)
-	e := s.e
-	tracking := e.rules.TrackRegisterInit
-	invExplicit := e.rules.InvalidateExplicitAddr
-	var (
-		pos      = off
-		end      = off + x86.MaxInstLen
-		b        = code[off]
-		m        uint64
-		kind     uint8
-		seg      uint8
-		opSize   bool
-		needRegs uint8
-		trKind   uint8
-		trArg    uint8
-		disp     int32
-		immLen   int
-		mod      byte
-		reg      byte
-		rm       byte
-		base     int8 = -1
-		index    int8 = -1
-		dispOnly bool
-		imm66    bool
-		extra    uint64
-	)
-	if end > n {
-		end = n
-	}
-	// Prefixes. Segment overrides and 0x66 matter to the record; 0x67
-	// switches to 16-bit addressing, which the fused path does not
-	// inline — full decode instead. The loop is entered only when the
-	// already-loaded first byte is a prefix.
-	m = e.meta1[b]
-	for m&metaPrefix != 0 {
-		switch b {
-		case 0x26:
-			seg = uint8(x86.SegES)
-		case 0x2E:
-			seg = uint8(x86.SegCS)
-		case 0x36:
-			seg = uint8(x86.SegSS)
-		case 0x3E:
-			seg = uint8(x86.SegDS)
-		case 0x64:
-			seg = uint8(x86.SegFS)
-		case 0x65:
-			seg = uint8(x86.SegGS)
-		case 0x66:
-			opSize = true
-		case 0x67:
-			goto slow
-		}
-		pos++
-		if pos >= end {
-			goto invalid
-		}
-		b = code[pos]
-		m = e.meta1[b]
-	}
-	pos++
-	if m&metaEscape != 0 {
-		if pos >= end {
-			goto invalid
-		}
-		m = e.meta2[code[pos]]
-		pos++
-		if m&metaFallback != 0 {
-			goto slow
-		}
-	}
-	kind = uint8(m>>metaKindShift) & 7
-	if kind == ctrlInvalid {
-		goto invalid
-	}
-	imm66 = (m>>metaImm32Shift)&0xF == (m>>metaImm16Shift)&0xF
-	if opSize {
-		immLen = int(m>>metaImm16Shift) & 0xF
-	} else {
-		immLen = int(m>>metaImm32Shift) & 0xF
-	}
-	if m&metaHasModRM != 0 {
-		if pos >= end {
-			goto invalid
-		}
-		b = code[pos]
-		pos++
-		mod = b >> 6
-		reg = (b >> 3) & 7
-		rm = b & 7
-		if b < 0xC0 {
-			// Memory form: the address-shape tables resolve
-			// displacement size, base, index, and disp-only without
-			// re-deriving the mod/rm case split.
-			mi := modrmTab[b]
-			if mi&miSIB != 0 {
-				if pos >= end {
-					goto invalid
-				}
-				if b < 0x40 {
-					mi |= sibTab0[code[pos]]
-				} else {
-					mi |= sibTabN[code[pos]]
-				}
-				pos++
-			}
-			base = int8(mi&0xF) - 1
-			index = int8(mi>>4&0xF) - 1
-			dispOnly = mi&miDispOnly != 0
-			pos += int(mi>>8) & 7
-		}
-		if m&metaSpecial != 0 {
-			if gid := (m >> metaGroupShift) & 7; gid != 0 {
-				gm := e.grpMeta[gid][reg]
-				kind = uint8(gm & grpKindMask)
-				if kind == ctrlInvalid {
-					goto invalid
-				}
-				if gm&grpMemSem != 0 {
-					m |= metaMemSem
-				} else {
-					m &^= metaMemSem
-				}
-				if gm&grpImmOverride != 0 {
-					imm66 = (gm>>grpImm32Shift)&0xF == (gm>>grpImm16Shift)&0xF
-					if opSize {
-						immLen = int(gm>>grpImm16Shift) & 0xF
-					} else {
-						immLen = int(gm>>grpImm32Shift) & 0xF
-					}
-				}
-				if gm&grpXorSub != 0 && mod == 3 && reg == rm && tracking {
-					trKind, trArg = transOr, 1<<rm
-				}
-			}
-			if m&metaMod3UD != 0 && mod == 3 {
-				goto invalid
-			}
-			if m&metaPopEv != 0 && reg != 0 {
-				goto invalid
-			}
-		}
-	}
-	if m&metaIsRel != 0 {
-		// Branch displacement: the one immediate whose value the DP
-		// needs. Bounds first — the bytes are read.
-		if pos+immLen > end {
-			goto invalid
-		}
-		switch immLen {
-		case 1:
-			disp = int32(int8(code[pos]))
-		case 2:
-			disp = int32(int16(uint16(code[pos]) | uint16(code[pos+1])<<8))
-		default:
-			disp = int32(uint32(code[pos]) | uint32(code[pos+1])<<8 |
-				uint32(code[pos+2])<<16 | uint32(code[pos+3])<<24)
-		}
-	}
-	pos += immLen
-	if pos > end {
-		goto invalid
-	}
-	// Memory-dependent rules: wrong segment override, explicit
-	// absolute address, uninitialized base/index registers.
-	if m&metaImplMem != 0 || (m&metaMemSem != 0 && m&metaHasModRM != 0 && mod != 3) {
-		extra = recMemAcc
-		if seg != 0 && e.wrongSeg[seg] {
-			goto invalid
-		}
-		if m&metaMoffs != 0 {
-			dispOnly = true
-		}
-		if dispOnly {
-			if invExplicit {
-				goto invalid
-			}
-		} else if tracking {
-			if m&metaImplMem != 0 {
-				needRegs = uint8(m >> metaArgShift)
-			} else {
-				if base >= 0 {
-					needRegs |= 1 << uint8(base)
-				}
-				if index >= 0 {
-					needRegs |= 1 << uint8(index)
-				}
-			}
-		}
-	}
-	if tracking && m&metaTransMask != 0 {
-		switch uint8(m>>metaTransShift) & 7 {
-		case tcStatic:
-			trKind = uint8(m>>metaTrKindShift) & 3
-			trArg = uint8(m >> metaArgShift)
-		case tcMovRM:
-			if mod == 3 {
-				trKind, trArg = transCopy, rm<<4|reg
-			} else {
-				trKind, trArg = transOr, 1<<reg
-			}
-		case tcLEA:
-			if base < 0 {
-				trKind, trArg = transOr, 1<<reg
-			} else {
-				trKind, trArg = transCopy, uint8(base)<<4|reg
-			}
-		case tcXorSub:
-			if mod == 3 && reg == rm {
-				trKind, trArg = transOr, 1<<rm
-			}
-		case tcMovzx:
-			trKind, trArg = transOr, 1<<reg
-		}
-	}
-	if seg != 0 {
-		extra |= recHasSeg
-	}
-	if opSize || imm66 {
-		extra |= rec66Same
-	}
-	return uint64(pos-off) | uint64(kind)<<recKindShift |
-		uint64(needRegs)<<recNeedShift | uint64(trKind)<<recTrKindShift |
-		uint64(trArg)<<recTrArgShift | uint64(uint32(disp))<<recDispShift | extra
-invalid:
-	return recInvalidPacked
-slow:
-	return s.recFull(off)
-}
-
-// Address-form lookup tables: the branchy ModRM/SIB decode of the full
-// decoder flattened into three 256-entry arrays so the fused walk
-// resolves displacement size, base, index, and disp-only in one or two
-// loads with a single branch (SIB byte present). Global — they encode
-// the ISA, not any rule set.
-//
-// All three share one layout (which is what lets a SIB entry be OR-ed
-// into its ModRM entry): bits 0-3 base register + 1 (0 = none), bits
-// 4-7 index register + 1, bits 8-10 displacement size (0, 1, or 4),
-// bit 11 disp-only (absolute address, no registers), bit 12 SIB byte
-// follows (modrmTab only; its base/index/disp-only stay zero so the
-// SIB entry fully determines them). modrmTab covers mod != 3 (entries
-// at or above 0xC0 are unused); sibTab0 applies at mod == 0, where
+// Entry layout: bits 0-3 base register + 1 (0 = none), bits 4-7 index
+// register + 1, bits 8-10 displacement size (0 or 4), bit 11 disp-only
+// (absolute address, no registers). sibTab0 applies at mod == 0, where
 // base 5 means disp32 with no base register; sibTabN at mod 1/2.
-const (
-	miDispOnly = 1 << 11
-	miSIB      = 1 << 12
-)
+const miDispOnly = 1 << 11
 
-var modrmTab = buildModrmTab()
 var sibTab0, sibTabN = buildSibTabs()
-
-func buildModrmTab() (t [256]uint16) {
-	for mrm := 0; mrm < 0xC0; mrm++ {
-		mod := mrm >> 6
-		rm := uint16(mrm & 7)
-		var v uint16
-		switch mod {
-		case 0:
-			if rm == 5 {
-				v = 4<<8 | miDispOnly
-			}
-		case 1:
-			v = 1 << 8
-		case 2:
-			v = 4 << 8
-		}
-		if rm == 4 {
-			v |= miSIB
-		} else if rm != 5 || mod != 0 {
-			v |= rm + 1
-		}
-		t[mrm] = v
-	}
-	return t
-}
 
 func buildSibTabs() (t0, tn [256]uint16) {
 	for sib := 0; sib < 256; sib++ {

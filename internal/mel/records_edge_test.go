@@ -141,8 +141,8 @@ func TestExpandSIBEdges(t *testing.T) {
 	}
 }
 
-// The address-form tables the expansion loads from, pinned by hand
-// against the 32-bit ModRM/SIB definition.
+// The SIB address-form tables the expansion loads from, pinned by hand
+// against the 32-bit SIB definition.
 func TestAddressTableEntries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -150,12 +150,6 @@ func TestAddressTableEntries(t *testing.T) {
 		idx  int
 		want uint16
 	}{
-		{"modrm mod0 [eax]", &modrmTab, 0x00, 0x01},
-		{"modrm mod0 disp32", &modrmTab, 0x05, 4<<8 | miDispOnly},
-		{"modrm mod0 SIB", &modrmTab, 0x04, miSIB},
-		{"modrm mod1 SIB+disp8", &modrmTab, 0x44, miSIB | 1<<8},
-		{"modrm mod1 [ebp]+disp8", &modrmTab, 0x45, 1<<8 | 6},
-		{"modrm mod2 SIB+disp32", &modrmTab, 0x84, miSIB | 4<<8},
 		{"sib0 [esp]", &sibTab0, 0x24, 0x05},
 		{"sib0 disp32 no base no index", &sibTab0, 0x25, 4<<8 | miDispOnly},
 		{"sib0 [ecx*1]+disp32", &sibTab0, 0x0D, 4<<8 | 2<<4},
@@ -165,12 +159,6 @@ func TestAddressTableEntries(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.tab[tc.idx]; got != tc.want {
 			t.Errorf("%s (index %#02x): got %#x, want %#x", tc.name, tc.idx, got, tc.want)
-		}
-	}
-	// mod=3 rows are register forms; the walk never consults them.
-	for mrm := 0xC0; mrm < 0x100; mrm++ {
-		if modrmTab[mrm] != 0 {
-			t.Fatalf("modrmTab[%#02x] nonzero for a register form", mrm)
 		}
 	}
 }

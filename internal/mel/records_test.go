@@ -18,8 +18,8 @@ func recordRuleSets() map[string]Rules {
 }
 
 // checkRecordsEquiv builds the packed records for stream through the
-// fused decoder and requires bit-identity with recFull — the full
-// x86.DecodeInto-based specification — at every offset. No record may
+// backward record builder and requires bit-identity with recFullAt —
+// the full x86.DecodeInto-based specification — at every offset. No record may
 // be zero: ScanFrom and Trace read a zero record as "not yet decoded".
 func checkRecordsEquiv(t *testing.T, e *Engine, stream []byte) {
 	t.Helper()
@@ -31,7 +31,7 @@ func checkRecordsEquiv(t *testing.T, e *Engine, stream []byte) {
 		if s.recs[off] == 0 {
 			t.Fatalf("zero record at offset %d (stream %x)", off, stream)
 		}
-		if got, want := s.recs[off], s.recFull(off); got != want {
+		if got, want := s.recs[off], e.recFullAt(stream, off); got != want {
 			t.Fatalf("record mismatch at offset %d (byte %#02x, stream %x): fused %#016x, full %#016x",
 				off, stream[off], stream[max(0, off-4):min(len(stream), off+16)], got, want)
 		}

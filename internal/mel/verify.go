@@ -7,13 +7,13 @@ import (
 // This file is the model surface melverify (internal/lint's
 // decoder-equivalence prover) drives. The prover needs both decoder
 // models behind exported, allocation-light hooks: the production fused
-// record builder (quick1 → segDerive → quick2/expandSIB → decodeSlow,
-// exactly as buildRecords dispatches) and the retained specification
-// decoder (full x86.DecodeInto + packRec — the ScanReference
-// semantics). Everything here is off the scan hot path; it exists so
-// the equivalence of the two models can be proven over the enumerated
-// encoding space instead of merely sampled by the runtime differential
-// tests.
+// record builder (quick1 → segDerive → quick2/expandSIB → spec decoder,
+// exactly as buildRecords dispatches) and the specification decoder
+// alone (full x86.DecodeInto + packRec — the ScanReference semantics).
+// Everything here is off the scan hot path; it exists so the
+// equivalence of the table layers with the spec decoder can be proven
+// over the enumerated encoding space instead of merely sampled by the
+// runtime differential tests.
 
 // FusedRecords compiles every offset of code to its packed record
 // through the production fused decoder — the same backward pass the
@@ -112,20 +112,17 @@ func RecordIsBackEdge(r uint64) bool {
 	return backEdgeRec(r)
 }
 
-// Layout bits of the address-form tables returned by AddressTables,
-// mirroring the engine-internal mi* constants.
-const (
-	AddrDispOnly = miDispOnly
-	AddrSIB      = miSIB
-)
+// AddrDispOnly is the disp-only layout bit of the address-form tables
+// returned by AddressTables, mirroring the engine-internal miDispOnly.
+const AddrDispOnly = miDispOnly
 
-// AddressTables returns copies of the global ModRM/SIB address-form
-// tables the fused walk and expandSIB load from. They encode the ISA,
-// not any rule set; melverify cross-checks them against both an
-// independent spec derivation and the abstractly interpreted source of
-// their constructors.
-func AddressTables() (modrm, sib0, sibN [256]uint16) {
-	return modrmTab, sibTab0, sibTabN
+// AddressTables returns copies of the global SIB address-form tables
+// expandSIB loads from. They encode the ISA, not any rule set;
+// melverify cross-checks them against both an independent spec
+// derivation and the abstractly interpreted source of their
+// constructor.
+func AddressTables() (sib0, sibN [256]uint16) {
+	return sibTab0, sibTabN
 }
 
 // VerifyScanInvariants scans code through the fused single-pass core

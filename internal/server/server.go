@@ -292,12 +292,19 @@ func (s *Server) handleConn(conn net.Conn) {
 	// through spare, or a fresh one when none is waiting.
 	var buf []byte
 	spare := make(chan []byte, 1)
+	// armedAt is when the read deadline was last set. Arming costs a
+	// runtime timer update, so a frame re-arms only once the last arm is
+	// older than rearmAfter: the idle timeout a connection sees then
+	// lies in [15/16·ReadTimeout, ReadTimeout].
+	var armedAt time.Time
 reading:
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if now := time.Now(); s.cfg.ReadTimeout > 0 && now.Sub(armedAt) > rearmAfter(s.cfg.ReadTimeout) {
+			armedAt = now
+			_ = conn.SetReadDeadline(now.Add(s.cfg.ReadTimeout))
 			// Close wakes readers by setting their deadline to now; an
-			// arm that landed after that wakeup must not outlast it.
+			// arm that landed after that wakeup must not outlast it. A
+			// reader that skipped the arm still holds Close's deadline.
 			if s.draining.Load() {
 				_ = conn.SetReadDeadline(time.Now())
 			}
@@ -482,14 +489,23 @@ type connOut struct {
 	conn    net.Conn
 	bw      *bufio.Writer
 	timeout time.Duration
+	armedAt time.Time // last write-deadline arm; guarded by mu
 	slots   chan struct{}
 }
 
-// write buffers one frame under the write deadline. The caller holds
-// mu.
+// rearmAfter is how old a connection deadline's last arm may grow
+// before the next frame re-arms it: a sixteenth of the timeout, so
+// the deadline in force is never less than 15/16 of it away.
+func rearmAfter(timeout time.Duration) time.Duration {
+	return timeout / 16
+}
+
+// write buffers one frame under the write deadline, re-armed when its
+// last arm is stale (rearmAfter). The caller holds mu.
 func (w *connOut) write(frame []byte) bool {
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	if now := time.Now(); w.timeout > 0 && now.Sub(w.armedAt) > rearmAfter(w.timeout) {
+		w.armedAt = now
+		_ = w.conn.SetWriteDeadline(now.Add(w.timeout))
 	}
 	_, err := w.bw.Write(frame)
 	return err == nil

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -349,10 +350,10 @@ func (l *armListener) Accept() (net.Conn, error) {
 	return sc, nil
 }
 
-// armConn holds the reader's second read-deadline arm (the one for
-// the frame after the first) until Close has set the deadline to now,
-// then lets it through: the interleaving in which re-arming overwrote
-// Close's wakeup and the reader slept the full ReadTimeout.
+// armConn holds the reader's second read-deadline arm until Close has
+// set the deadline to now, then lets it through: the interleaving in
+// which re-arming overwrote Close's wakeup and the reader slept the
+// full ReadTimeout.
 type armConn struct {
 	net.Conn
 	mu       sync.Mutex
@@ -381,13 +382,15 @@ func (c *armConn) SetReadDeadline(t time.Time) error {
 
 // TestCloseWakesReaderBetweenFrames pins the drain race: Close must
 // return promptly even when a reader re-arms its read deadline right
-// after Close set it to now.
+// after Close set it to now. A reader re-arms only once its last arm
+// is older than ReadTimeout/16, so the second frame comes after that.
 func TestCloseWakesReaderBetweenFrames(t *testing.T) {
 	det, err := core.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Detector: det, ReadTimeout: 10 * time.Second})
+	const readTimeout = 10 * time.Second
+	srv, err := server.New(server.Config{Detector: det, ReadTimeout: readTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +407,12 @@ func TestCloseWakesReaderBetweenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Scan(benignPayloads(t, 17, 1)[0]); err != nil {
+	payloads := benignPayloads(t, 17, 2)
+	if _, err := c.Scan(payloads[0]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(readTimeout/16 + 100*time.Millisecond)
+	if _, err := c.Scan(payloads[1]); err != nil {
 		t.Fatal(err)
 	}
 	sc := <-ln.conns
@@ -426,6 +434,57 @@ func TestCloseWakesReaderBetweenFrames(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve returned %v after Close", err)
+	}
+}
+
+// TestReadTimeoutClosesIdleConn: a connection that goes quiet after a
+// frame is closed once its read deadline passes. A frame re-arms the
+// deadline only when the last arm is older than ReadTimeout/16, so the
+// close comes no sooner than 15/16 of the timeout after the frame.
+func TestReadTimeoutClosesIdleConn(t *testing.T) {
+	const readTimeout = 200 * time.Millisecond
+	_, addr := startServer(t, server.Config{ReadTimeout: readTimeout})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+	if _, err := conn.Write(server.AppendScanRequest(nil, 1, benignPayloads(t, 19, 1)[0])); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := server.ReadFrame(conn, 1<<20); err != nil || typ != server.MsgVerdict {
+		t.Fatalf("first frame: type %#x, err %v; want a verdict", typ, err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("idle read returned (%d, %v), want EOF from the server's idle close", n, err)
+	}
+	idle := time.Since(sent)
+	if lo, hi := readTimeout*15/16, readTimeout+500*time.Millisecond; idle < lo || idle > hi {
+		t.Fatalf("idle connection closed %v after its frame, want within [%v, %v]", idle, lo, hi)
+	}
+}
+
+// TestReadTimeoutSparesBusyConn: a connection that sends a frame every
+// half ReadTimeout for five timeouts is never cut — each frame that
+// finds the deadline's arm stale pushes it out again.
+func TestReadTimeoutSparesBusyConn(t *testing.T) {
+	const readTimeout = 200 * time.Millisecond
+	_, addr := startServer(t, server.Config{ReadTimeout: readTimeout})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := benignPayloads(t, 23, 1)[0]
+	for i := 0; i < 10; i++ {
+		time.Sleep(readTimeout / 2)
+		if _, err := c.Scan(payload); err != nil {
+			t.Fatalf("frame %d, %v into the connection: %v", i, time.Duration(i+1)*readTimeout/2, err)
+		}
 	}
 }
 

@@ -23,6 +23,8 @@ func FuzzDecode(f *testing.F) {
 		{0x62, 0xC0},
 		[]byte("GET /index.html HTTP/1.1"),
 		{0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x90},
+		{0x66, 0x2D, 0x01, 0x02},       // sub ax, imm16: 0x66 shortens Iz
+		{0x0F, 0xAF, 0x44, 0x24, 0x08}, // imul eax, [esp+8]: 0F map, ModRM, SIB
 	}
 	for _, s := range seeds {
 		f.Add(s)
