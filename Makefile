@@ -16,9 +16,9 @@ vet:
 # allocation discipline (allocfree), wire-protocol exhaustiveness, lock
 # hygiene and module-wide lock ordering (lockcheck and lockorder, two
 # reports over one lock model), atomic discipline, goroutine-leak
-# evidence, opcode-table integrity, context conventions, and taint flow
-# from hostile wire input. Findings recorded and justified in
-# lint.baseline are suppressed; anything new exits nonzero. One run
+# evidence, context conventions, and taint flow from hostile wire
+# input. Findings recorded and justified in lint.baseline are
+# suppressed; anything new exits nonzero. One run
 # archives both machine-readable reports: lint.json for tooling and
 # lint.sarif for code-scanning UIs.
 # Timings go to a separate artifact (lint-timings.json) so the

@@ -59,7 +59,7 @@ func TestJSONAndSARIFAreExclusive(t *testing.T) {
 
 func TestAllDisabledExits2(t *testing.T) {
 	var args []string
-	for _, name := range []string{"allocfree", "wireerrors", "lockcheck", "atomiccheck", "leakcheck", "opcodetable", "ctxcheck", "taintcheck", "lockorder"} {
+	for _, name := range []string{"allocfree", "wireerrors", "lockcheck", "atomiccheck", "leakcheck", "ctxcheck", "taintcheck", "lockorder"} {
 		args = append(args, "-"+name+"=false")
 	}
 	if code, _, _ := runCLI(t, args...); code != 2 {
@@ -106,8 +106,8 @@ func TestJSONShape(t *testing.T) {
 	if rep.Module != "fixture" {
 		t.Errorf("module = %q, want fixture", rep.Module)
 	}
-	if len(rep.Analyzers) != 9 {
-		t.Errorf("analyzers = %v, want all 9", rep.Analyzers)
+	if len(rep.Analyzers) != 8 {
+		t.Errorf("analyzers = %v, want all 8", rep.Analyzers)
 	}
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings in JSON report over the negative fixtures")
@@ -154,8 +154,8 @@ func TestSARIFShape(t *testing.T) {
 		t.Fatalf("unexpected SARIF envelope: version=%q runs=%d", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "mellint" || len(run.Tool.Driver.Rules) != 9 {
-		t.Errorf("driver = %q with %d rules, want mellint with 9", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "mellint" || len(run.Tool.Driver.Rules) != 8 {
+		t.Errorf("driver = %q with %d rules, want mellint with 8", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) == 0 {
 		t.Error("no SARIF results over the negative fixtures")

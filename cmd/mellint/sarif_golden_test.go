@@ -97,8 +97,8 @@ func TestSARIFGoldenShape(t *testing.T) {
 		}
 		rules[r.ID] = true
 	}
-	if len(rules) != 9 {
-		t.Errorf("distinct rules = %d, want 9", len(rules))
+	if len(rules) != 8 {
+		t.Errorf("distinct rules = %d, want 8", len(rules))
 	}
 	for _, name := range []string{"taintcheck", "lockorder"} {
 		if !rules[name] {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,8 +88,7 @@ func TestProverBudgetIncomplete(t *testing.T) {
 
 // TestStaticLegsCleanOnRepo runs the inventory and constructor legs
 // over the real module: the modeled-table set must match the source
-// and all three constructor views (interpreted source, independent
-// spec, linked tables) must agree.
+// and the linked SIB tables must equal the independent spec.
 func TestStaticLegsCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
@@ -108,49 +106,6 @@ func TestStaticLegsCleanOnRepo(t *testing.T) {
 	checkAddressConstructors(pass, melPkg)
 	for _, d := range *diags {
 		t.Errorf("static leg finding: %s", d.String())
-	}
-}
-
-// TestInterpretTableFuncOnConstructors pins the value-accurate
-// interpreter itself: it must fully evaluate the SIB address-table
-// constructor and reproduce both linked tables element for element.
-func TestInterpretTableFuncOnConstructors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module; skipped in -short")
-	}
-	mod, err := loadSelf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	melPkg := findModulePackage(mod, "internal/mel")
-	if melPkg == nil {
-		t.Fatal("internal/mel not found in module load")
-	}
-	liveSib0, liveSibN := mel.AddressTables()
-	for _, tc := range []struct {
-		fn, res string
-		live    [256]uint16
-	}{
-		{"buildSibTabs", "t0", liveSib0},
-		{"buildSibTabs", "tn", liveSibN},
-	} {
-		fd := findFuncDeclNamed(melPkg, tc.fn)
-		if fd == nil {
-			t.Fatalf("%s not found", tc.fn)
-		}
-		res, err := interpretTableFunc(melPkg, fd)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.fn, err)
-		}
-		vals := res[tc.res]
-		if len(vals) != 256 {
-			t.Fatalf("%s/%s: got %d values", tc.fn, tc.res, len(vals))
-		}
-		for i, v := range vals {
-			if uint16(v) != tc.live[i] {
-				t.Errorf("%s/%s[%#02x]: interpreted %#x, linked %#x", tc.fn, tc.res, i, v, tc.live[i])
-			}
-		}
 	}
 }
 
@@ -253,15 +208,4 @@ func TestReportDeterminism(t *testing.T) {
 	if bytes.Contains(j1, []byte("timings")) || bytes.Contains(s1, []byte("totalTimeMS")) {
 		t.Error("timings leaked into deterministic output")
 	}
-}
-
-// findFuncDeclNamed is the test-side twin of findFuncPos that returns
-// the declaration itself.
-func findFuncDeclNamed(pkg *Package, name string) (out *ast.FuncDecl) {
-	eachFunc(pkg, func(fd *ast.FuncDecl) {
-		if fd.Name.Name == name && out == nil {
-			out = fd
-		}
-	})
-	return out
 }

@@ -4,10 +4,12 @@
 // MEL engine's performance results and the scan service's correctness
 // rest on conventions that ordinary tests cannot see: the zero-alloc
 // scan path, the sentinel-error↔wire-code bijection, the lock
-// discipline and lock order around the pool and verdict cache, the
-// shape of the x86 opcode tables. Each convention gets an analyzer;
-// `mellint ./...` machine-checks all of them and gates every future
-// change through `make lint` / `make ci`.
+// discipline and lock order around the pool and verdict cache. Each
+// convention gets an analyzer; `mellint ./...` machine-checks all of
+// them and gates every future change through `make lint` / `make ci`.
+// Decode tables are not checked here from their source: internal/x86
+// tests its linked opcode maps, and melverify (`mellint -verify`)
+// holds internal/mel's packed tables to the spec decoder.
 //
 // The framework is module-scoped rather than package-scoped: analyzers
 // receive every package of the module at once, type-checked against gc
@@ -139,7 +141,6 @@ func Analyzers() []*Analyzer {
 		LockCheckAnalyzer(),
 		AtomicCheckAnalyzer(),
 		LeakCheckAnalyzer(),
-		OpcodeTableAnalyzer(),
 		CtxCheckAnalyzer(),
 		TaintCheckAnalyzer(),
 		LockOrderAnalyzer(),

@@ -98,3 +98,36 @@ func TestRecordsRandomStreams(t *testing.T) {
 		})
 	}
 }
+
+// TestQuickTableCoverage pins how many slots each quick table resolves
+// per rule set. A zero slot means "no quick form, use the spec
+// decoder", so a fill loop that stops short (say `b < 0xBF`) changes
+// no record and escapes every equivalence check; it only sends more
+// offsets to the slow path. These counts are that speed property:
+// change them only with a deliberate change to what the tables cover.
+func TestQuickTableCoverage(t *testing.T) {
+	want := map[string][2]int{
+		"dawn":          {168, 20821},
+		"dawnStateless": {168, 20845},
+		"ape":           {168, 20845},
+		"empty":         {168, 20845},
+	}
+	for name, rules := range recordRuleSets() {
+		e := NewEngine(rules)
+		var got [2]int
+		for b0 := range e.quick1 {
+			if e.quick1[b0] != 0 {
+				got[0]++
+			}
+			for b1 := range e.quick2[b0] {
+				if e.quick2[b0][b1] != 0 {
+					got[1]++
+				}
+			}
+		}
+		if got != want[name] {
+			t.Errorf("%s: non-zero quick1/quick2 slots = %d/%d, want %d/%d",
+				name, got[0], got[1], want[name][0], want[name][1])
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package x86
 
+import "fmt"
+
 // encoding describes how the bytes after the opcode are laid out, which is
 // everything length decoding needs.
 type encoding uint8
@@ -42,8 +44,10 @@ type entry struct {
 	mem   memDir
 }
 
-// groupTable resolves group opcodes (ModRM.reg selects the operation).
-// A nil row means the slot keeps the base entry's op.
+// groupOp is one row of a group table: ModRM.reg selects the row, whose
+// op and memory direction replace the base entry's and whose flags are
+// added to it. There is no "keep the base entry" row; a zero row would
+// decode as an op-less valid instruction.
 type groupOp struct {
 	op    Op
 	flags Flags
@@ -88,207 +92,205 @@ var (
 	}
 )
 
+// fill writes e into t[lo..hi]. A slot written twice would silently
+// keep the later entry, so fill panics at package init instead.
+func fill(t *[256]entry, lo, hi int, e entry) {
+	for b := lo; b <= hi; b++ {
+		if t[b] != (entry{}) {
+			panic(fmt.Sprintf("x86: opcode table slot %#02x written twice", b))
+		}
+		t[b] = e
+	}
+}
+
+// orUndefined gives every slot still zero the map's #UD entry, the
+// architecturally safe default for reserved slots.
+func orUndefined(t *[256]entry, undef entry) {
+	for b := range t {
+		if t[b] == (entry{}) {
+			t[b] = undef
+		}
+	}
+}
+
 // oneByte is the complete IA-32 one-byte opcode map for 32-bit mode.
 var oneByte = buildOneByte()
 
+// buildOneByte writes single slots as keyed literal elements (a
+// duplicate index does not compile) and ranges through fill.
 func buildOneByte() [256]entry {
-	var t [256]entry
+	t := [256]entry{
+		// Segment push/pop in the ALU rows' 6/7 columns.
+		0x06: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0x07: {op: OpPOP, enc: encNone, flags: FlagStack},
+		0x0E: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0x0F: {enc: encEscape},
+		0x16: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0x17: {op: OpPOP, enc: encNone, flags: FlagStack},
+		0x1E: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0x1F: {op: OpPOP, enc: encNone, flags: FlagStack},
+
+		// Segment-override and BCD opcodes interleaved in rows 2 and 3.
+		0x26: {enc: encPrefix},
+		0x27: {op: OpDAA, enc: encNone},
+		0x2E: {enc: encPrefix},
+		0x2F: {op: OpDAS, enc: encNone},
+		0x36: {enc: encPrefix},
+		0x37: {op: OpAAA, enc: encNone},
+		0x3E: {enc: encPrefix},
+		0x3F: {op: OpAAS, enc: encNone},
+
+		0x60: {op: OpPUSHA, enc: encNone, flags: FlagStack},
+		0x61: {op: OpPOPA, enc: encNone, flags: FlagStack},
+		// BOUND requires a memory operand; the register form is #UD, enforced
+		// in the decoder.
+		0x62: {op: OpBOUND, enc: encModRM, mem: memRead},
+		0x63: {op: OpARPL, enc: encModRM, mem: memRW},
+		0x64: {enc: encPrefix},
+		0x65: {enc: encPrefix},
+		0x66: {enc: encPrefix},
+		0x67: {enc: encPrefix},
+		0x68: {op: OpPUSH, enc: encIz, flags: FlagStack},
+		0x69: {op: OpIMUL, enc: encModRMIz, mem: memRead},
+		0x6A: {op: OpPUSH, enc: encIb, flags: FlagStack},
+		0x6B: {op: OpIMUL, enc: encModRMIb, mem: memRead},
+		0x6C: {op: OpINS, enc: encNone, flags: FlagIO | FlagString, mem: memWrite},
+		0x6D: {op: OpINS, enc: encNone, flags: FlagIO | FlagString, mem: memWrite},
+		0x6E: {op: OpOUTS, enc: encNone, flags: FlagIO | FlagString, mem: memRead},
+		0x6F: {op: OpOUTS, enc: encNone, flags: FlagIO | FlagString, mem: memRead},
+
+		0x80: {enc: encModRMIb}, // grp1 Eb,Ib
+		0x81: {enc: encModRMIz}, // grp1 Ev,Iz
+		0x82: {enc: encModRMIb}, // grp1 Eb,Ib alias (32-bit mode)
+		0x83: {enc: encModRMIb}, // grp1 Ev,Ib
+		0x84: {op: OpTEST, enc: encModRM, mem: memRead},
+		0x85: {op: OpTEST, enc: encModRM, mem: memRead},
+		0x86: {op: OpXCHG, enc: encModRM, mem: memRW},
+		0x87: {op: OpXCHG, enc: encModRM, mem: memRW},
+		0x88: {op: OpMOV, enc: encModRM, mem: memWrite},
+		0x89: {op: OpMOV, enc: encModRM, mem: memWrite},
+		0x8A: {op: OpMOV, enc: encModRM, mem: memRead},
+		0x8B: {op: OpMOV, enc: encModRM, mem: memRead},
+		0x8C: {op: OpMOV, enc: encModRM, mem: memWrite}, // MOV Ev,Sw
+		0x8D: {op: OpLEA, enc: encModRM, mem: memNone},  // address only
+		0x8E: {op: OpMOV, enc: encModRM, mem: memRead},  // MOV Sw,Ew
+		0x8F: {op: OpPOP, enc: encModRM, flags: FlagStack, mem: memWrite},
+
+		0x90: {op: OpNOP, enc: encNone},
+		0x98: {op: OpCWDE, enc: encNone},
+		0x99: {op: OpCDQ, enc: encNone},
+		0x9A: {op: OpCALLF, enc: encFarPtr, flags: FlagCall | FlagFar | FlagStack},
+		0x9B: {op: OpWAIT, enc: encNone},
+		0x9C: {op: OpPUSHF, enc: encNone, flags: FlagStack},
+		0x9D: {op: OpPOPF, enc: encNone, flags: FlagStack},
+		0x9E: {op: OpSAHF, enc: encNone},
+		0x9F: {op: OpLAHF, enc: encNone},
+
+		0xA0: {op: OpMOV, enc: encMoffs, mem: memRead},
+		0xA1: {op: OpMOV, enc: encMoffs, mem: memRead},
+		0xA2: {op: OpMOV, enc: encMoffs, mem: memWrite},
+		0xA3: {op: OpMOV, enc: encMoffs, mem: memWrite},
+		0xA4: {op: OpMOVS, enc: encNone, flags: FlagString, mem: memRW},
+		0xA5: {op: OpMOVS, enc: encNone, flags: FlagString, mem: memRW},
+		0xA6: {op: OpCMPS, enc: encNone, flags: FlagString, mem: memRead},
+		0xA7: {op: OpCMPS, enc: encNone, flags: FlagString, mem: memRead},
+		0xA8: {op: OpTEST, enc: encIb},
+		0xA9: {op: OpTEST, enc: encIz},
+		0xAA: {op: OpSTOS, enc: encNone, flags: FlagString, mem: memWrite},
+		0xAB: {op: OpSTOS, enc: encNone, flags: FlagString, mem: memWrite},
+		0xAC: {op: OpLODS, enc: encNone, flags: FlagString, mem: memRead},
+		0xAD: {op: OpLODS, enc: encNone, flags: FlagString, mem: memRead},
+		0xAE: {op: OpSCAS, enc: encNone, flags: FlagString, mem: memRead},
+		0xAF: {op: OpSCAS, enc: encNone, flags: FlagString, mem: memRead},
+
+		0xC0: {enc: encModRMIb}, // grp2 Eb,Ib
+		0xC1: {enc: encModRMIb}, // grp2 Ev,Ib
+		0xC2: {op: OpRET, enc: encIw, flags: FlagRet | FlagStack},
+		0xC3: {op: OpRET, enc: encNone, flags: FlagRet | FlagStack},
+		0xC4: {op: OpLES, enc: encModRM, mem: memRead},
+		0xC5: {op: OpLDS, enc: encModRM, mem: memRead},
+		0xC6: {op: OpMOV, enc: encModRMIb, mem: memWrite},
+		0xC7: {op: OpMOV, enc: encModRMIz, mem: memWrite},
+		0xC8: {op: OpENTER, enc: encIwIb, flags: FlagStack},
+		0xC9: {op: OpLEAVE, enc: encNone, flags: FlagStack},
+		0xCA: {op: OpRETF, enc: encIw, flags: FlagRet | FlagFar | FlagStack},
+		0xCB: {op: OpRETF, enc: encNone, flags: FlagRet | FlagFar | FlagStack},
+		0xCC: {op: OpINT3, enc: encNone, flags: FlagInt},
+		0xCD: {op: OpINT, enc: encIb, flags: FlagInt},
+		0xCE: {op: OpINTO, enc: encNone, flags: FlagInt},
+		0xCF: {op: OpIRET, enc: encNone, flags: FlagRet | FlagStack},
+
+		0xD0: {enc: encModRM}, // grp2 Eb,1
+		0xD1: {enc: encModRM}, // grp2 Ev,1
+		0xD2: {enc: encModRM}, // grp2 Eb,CL
+		0xD3: {enc: encModRM}, // grp2 Ev,CL
+		0xD4: {op: OpAAM, enc: encIb},
+		0xD5: {op: OpAAD, enc: encIb},
+		0xD6: {op: OpSALC, enc: encNone}, // undocumented but executes
+		0xD7: {op: OpXLAT, enc: encNone, mem: memRead},
+
+		0xE0: {op: OpLOOPNE, enc: encRel8, flags: FlagCondBranch},
+		0xE1: {op: OpLOOPE, enc: encRel8, flags: FlagCondBranch},
+		0xE2: {op: OpLOOP, enc: encRel8, flags: FlagCondBranch},
+		0xE3: {op: OpJECXZ, enc: encRel8, flags: FlagCondBranch},
+		0xE4: {op: OpIN, enc: encIb, flags: FlagIO},
+		0xE5: {op: OpIN, enc: encIb, flags: FlagIO},
+		0xE6: {op: OpOUT, enc: encIb, flags: FlagIO},
+		0xE7: {op: OpOUT, enc: encIb, flags: FlagIO},
+		0xE8: {op: OpCALL, enc: encRelZ, flags: FlagCall | FlagStack},
+		0xE9: {op: OpJMP, enc: encRelZ, flags: FlagUncondJump},
+		0xEA: {op: OpJMPF, enc: encFarPtr, flags: FlagUncondJump | FlagFar},
+		0xEB: {op: OpJMP, enc: encRel8, flags: FlagUncondJump},
+		0xEC: {op: OpIN, enc: encNone, flags: FlagIO},
+		0xED: {op: OpIN, enc: encNone, flags: FlagIO},
+		0xEE: {op: OpOUT, enc: encNone, flags: FlagIO},
+		0xEF: {op: OpOUT, enc: encNone, flags: FlagIO},
+
+		0xF0: {enc: encPrefix},
+		0xF1: {op: OpINT1, enc: encNone, flags: FlagInt | FlagPrivileged},
+		0xF2: {enc: encPrefix},
+		0xF3: {enc: encPrefix},
+		0xF4: {op: OpHLT, enc: encNone, flags: FlagPrivileged},
+		0xF5: {op: OpCMC, enc: encNone},
+		0xF6: {enc: encGrp3}, // grp3 Eb
+		0xF7: {enc: encGrp3}, // grp3 Ev
+		0xF8: {op: OpCLC, enc: encNone},
+		0xF9: {op: OpSTC, enc: encNone},
+		0xFA: {op: OpCLI, enc: encNone, flags: FlagPrivileged},
+		0xFB: {op: OpSTI, enc: encNone, flags: FlagPrivileged},
+		0xFC: {op: OpCLD, enc: encNone},
+		0xFD: {op: OpSTD, enc: encNone},
+		0xFE: {enc: encModRM}, // grp4
+		0xFF: {enc: encModRM}, // grp5
+	}
 
 	// The eight classic ALU rows share a layout:
 	// x0 Eb,Gb  x1 Ev,Gv  x2 Gb,Eb  x3 Gv,Ev  x4 AL,Ib  x5 eAX,Iz.
-	alu := func(base byte, op Op) {
-		t[base+0] = entry{op: op, enc: encModRM, mem: memRW}
-		t[base+1] = entry{op: op, enc: encModRM, mem: memRW}
-		t[base+2] = entry{op: op, enc: encModRM, mem: memRead}
-		t[base+3] = entry{op: op, enc: encModRM, mem: memRead}
-		t[base+4] = entry{op: op, enc: encIb}
-		t[base+5] = entry{op: op, enc: encIz}
+	// dst is the memory direction of the x0/x1 destination forms.
+	alu := func(base int, op Op, dst memDir) {
+		fill(&t, base, base+1, entry{op: op, enc: encModRM, mem: dst})
+		fill(&t, base+2, base+3, entry{op: op, enc: encModRM, mem: memRead})
+		fill(&t, base+4, base+4, entry{op: op, enc: encIb})
+		fill(&t, base+5, base+5, entry{op: op, enc: encIz})
 	}
-	alu(0x00, OpADD)
-	alu(0x08, OpOR)
-	alu(0x10, OpADC)
-	alu(0x18, OpSBB)
-	alu(0x20, OpAND)
-	alu(0x28, OpSUB)
-	alu(0x30, OpXOR)
-	alu(0x38, OpCMP)
-	// CMP never writes its destination.
-	t[0x38].mem = memRead
-	t[0x39].mem = memRead
+	alu(0x00, OpADD, memRW)
+	alu(0x08, OpOR, memRW)
+	alu(0x10, OpADC, memRW)
+	alu(0x18, OpSBB, memRW)
+	alu(0x20, OpAND, memRW)
+	alu(0x28, OpSUB, memRW)
+	alu(0x30, OpXOR, memRW)
+	alu(0x38, OpCMP, memRead) // CMP never writes its destination.
 
-	// Segment push/pop in the ALU rows' 6/7 columns.
-	t[0x06] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0x07] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-	t[0x0E] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0x0F] = entry{enc: encEscape}
-	t[0x16] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0x17] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-	t[0x1E] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0x1F] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-
-	// Segment-override and BCD opcodes interleaved in rows 2 and 3.
-	t[0x26] = entry{enc: encPrefix}
-	t[0x27] = entry{op: OpDAA, enc: encNone}
-	t[0x2E] = entry{enc: encPrefix}
-	t[0x2F] = entry{op: OpDAS, enc: encNone}
-	t[0x36] = entry{enc: encPrefix}
-	t[0x37] = entry{op: OpAAA, enc: encNone}
-	t[0x3E] = entry{enc: encPrefix}
-	t[0x3F] = entry{op: OpAAS, enc: encNone}
-
-	for b := 0x40; b <= 0x47; b++ {
-		t[b] = entry{op: OpINC, enc: encNone}
-	}
-	for b := 0x48; b <= 0x4F; b++ {
-		t[b] = entry{op: OpDEC, enc: encNone}
-	}
-	for b := 0x50; b <= 0x57; b++ {
-		t[b] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	}
-	for b := 0x58; b <= 0x5F; b++ {
-		t[b] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-	}
-
-	t[0x60] = entry{op: OpPUSHA, enc: encNone, flags: FlagStack}
-	t[0x61] = entry{op: OpPOPA, enc: encNone, flags: FlagStack}
-	// BOUND requires a memory operand; the register form is #UD, enforced
-	// in the decoder.
-	t[0x62] = entry{op: OpBOUND, enc: encModRM, mem: memRead}
-	t[0x63] = entry{op: OpARPL, enc: encModRM, mem: memRW}
-	t[0x64] = entry{enc: encPrefix}
-	t[0x65] = entry{enc: encPrefix}
-	t[0x66] = entry{enc: encPrefix}
-	t[0x67] = entry{enc: encPrefix}
-	t[0x68] = entry{op: OpPUSH, enc: encIz, flags: FlagStack}
-	t[0x69] = entry{op: OpIMUL, enc: encModRMIz, mem: memRead}
-	t[0x6A] = entry{op: OpPUSH, enc: encIb, flags: FlagStack}
-	t[0x6B] = entry{op: OpIMUL, enc: encModRMIb, mem: memRead}
-	t[0x6C] = entry{op: OpINS, enc: encNone, flags: FlagIO | FlagString, mem: memWrite}
-	t[0x6D] = entry{op: OpINS, enc: encNone, flags: FlagIO | FlagString, mem: memWrite}
-	t[0x6E] = entry{op: OpOUTS, enc: encNone, flags: FlagIO | FlagString, mem: memRead}
-	t[0x6F] = entry{op: OpOUTS, enc: encNone, flags: FlagIO | FlagString, mem: memRead}
-
-	for b := 0x70; b <= 0x7F; b++ {
-		t[b] = entry{op: OpJcc, enc: encRel8, flags: FlagCondBranch}
-	}
-
-	t[0x80] = entry{enc: encModRMIb} // grp1 Eb,Ib
-	t[0x81] = entry{enc: encModRMIz} // grp1 Ev,Iz
-	t[0x82] = entry{enc: encModRMIb} // grp1 Eb,Ib alias (32-bit mode)
-	t[0x83] = entry{enc: encModRMIb} // grp1 Ev,Ib
-	t[0x84] = entry{op: OpTEST, enc: encModRM, mem: memRead}
-	t[0x85] = entry{op: OpTEST, enc: encModRM, mem: memRead}
-	t[0x86] = entry{op: OpXCHG, enc: encModRM, mem: memRW}
-	t[0x87] = entry{op: OpXCHG, enc: encModRM, mem: memRW}
-	t[0x88] = entry{op: OpMOV, enc: encModRM, mem: memWrite}
-	t[0x89] = entry{op: OpMOV, enc: encModRM, mem: memWrite}
-	t[0x8A] = entry{op: OpMOV, enc: encModRM, mem: memRead}
-	t[0x8B] = entry{op: OpMOV, enc: encModRM, mem: memRead}
-	t[0x8C] = entry{op: OpMOV, enc: encModRM, mem: memWrite} // MOV Ev,Sw
-	t[0x8D] = entry{op: OpLEA, enc: encModRM, mem: memNone}  // address only
-	t[0x8E] = entry{op: OpMOV, enc: encModRM, mem: memRead}  // MOV Sw,Ew
-	t[0x8F] = entry{op: OpPOP, enc: encModRM, flags: FlagStack, mem: memWrite}
-
-	t[0x90] = entry{op: OpNOP, enc: encNone}
-	for b := 0x91; b <= 0x97; b++ {
-		t[b] = entry{op: OpXCHG, enc: encNone}
-	}
-	t[0x98] = entry{op: OpCWDE, enc: encNone}
-	t[0x99] = entry{op: OpCDQ, enc: encNone}
-	t[0x9A] = entry{op: OpCALLF, enc: encFarPtr, flags: FlagCall | FlagFar | FlagStack}
-	t[0x9B] = entry{op: OpWAIT, enc: encNone}
-	t[0x9C] = entry{op: OpPUSHF, enc: encNone, flags: FlagStack}
-	t[0x9D] = entry{op: OpPOPF, enc: encNone, flags: FlagStack}
-	t[0x9E] = entry{op: OpSAHF, enc: encNone}
-	t[0x9F] = entry{op: OpLAHF, enc: encNone}
-
-	t[0xA0] = entry{op: OpMOV, enc: encMoffs, mem: memRead}
-	t[0xA1] = entry{op: OpMOV, enc: encMoffs, mem: memRead}
-	t[0xA2] = entry{op: OpMOV, enc: encMoffs, mem: memWrite}
-	t[0xA3] = entry{op: OpMOV, enc: encMoffs, mem: memWrite}
-	t[0xA4] = entry{op: OpMOVS, enc: encNone, flags: FlagString, mem: memRW}
-	t[0xA5] = entry{op: OpMOVS, enc: encNone, flags: FlagString, mem: memRW}
-	t[0xA6] = entry{op: OpCMPS, enc: encNone, flags: FlagString, mem: memRead}
-	t[0xA7] = entry{op: OpCMPS, enc: encNone, flags: FlagString, mem: memRead}
-	t[0xA8] = entry{op: OpTEST, enc: encIb}
-	t[0xA9] = entry{op: OpTEST, enc: encIz}
-	t[0xAA] = entry{op: OpSTOS, enc: encNone, flags: FlagString, mem: memWrite}
-	t[0xAB] = entry{op: OpSTOS, enc: encNone, flags: FlagString, mem: memWrite}
-	t[0xAC] = entry{op: OpLODS, enc: encNone, flags: FlagString, mem: memRead}
-	t[0xAD] = entry{op: OpLODS, enc: encNone, flags: FlagString, mem: memRead}
-	t[0xAE] = entry{op: OpSCAS, enc: encNone, flags: FlagString, mem: memRead}
-	t[0xAF] = entry{op: OpSCAS, enc: encNone, flags: FlagString, mem: memRead}
-
-	for b := 0xB0; b <= 0xB7; b++ {
-		t[b] = entry{op: OpMOV, enc: encIb}
-	}
-	for b := 0xB8; b <= 0xBF; b++ {
-		t[b] = entry{op: OpMOV, enc: encIz}
-	}
-
-	t[0xC0] = entry{enc: encModRMIb} // grp2 Eb,Ib
-	t[0xC1] = entry{enc: encModRMIb} // grp2 Ev,Ib
-	t[0xC2] = entry{op: OpRET, enc: encIw, flags: FlagRet | FlagStack}
-	t[0xC3] = entry{op: OpRET, enc: encNone, flags: FlagRet | FlagStack}
-	t[0xC4] = entry{op: OpLES, enc: encModRM, mem: memRead}
-	t[0xC5] = entry{op: OpLDS, enc: encModRM, mem: memRead}
-	t[0xC6] = entry{op: OpMOV, enc: encModRMIb, mem: memWrite}
-	t[0xC7] = entry{op: OpMOV, enc: encModRMIz, mem: memWrite}
-	t[0xC8] = entry{op: OpENTER, enc: encIwIb, flags: FlagStack}
-	t[0xC9] = entry{op: OpLEAVE, enc: encNone, flags: FlagStack}
-	t[0xCA] = entry{op: OpRETF, enc: encIw, flags: FlagRet | FlagFar | FlagStack}
-	t[0xCB] = entry{op: OpRETF, enc: encNone, flags: FlagRet | FlagFar | FlagStack}
-	t[0xCC] = entry{op: OpINT3, enc: encNone, flags: FlagInt}
-	t[0xCD] = entry{op: OpINT, enc: encIb, flags: FlagInt}
-	t[0xCE] = entry{op: OpINTO, enc: encNone, flags: FlagInt}
-	t[0xCF] = entry{op: OpIRET, enc: encNone, flags: FlagRet | FlagStack}
-
-	t[0xD0] = entry{enc: encModRM} // grp2 Eb,1
-	t[0xD1] = entry{enc: encModRM} // grp2 Ev,1
-	t[0xD2] = entry{enc: encModRM} // grp2 Eb,CL
-	t[0xD3] = entry{enc: encModRM} // grp2 Ev,CL
-	t[0xD4] = entry{op: OpAAM, enc: encIb}
-	t[0xD5] = entry{op: OpAAD, enc: encIb}
-	t[0xD6] = entry{op: OpSALC, enc: encNone} // undocumented but executes
-	t[0xD7] = entry{op: OpXLAT, enc: encNone, mem: memRead}
-	for b := 0xD8; b <= 0xDF; b++ {
-		t[b] = entry{op: OpFPU, enc: encModRM, flags: FlagFPU, mem: memRead}
-	}
-
-	t[0xE0] = entry{op: OpLOOPNE, enc: encRel8, flags: FlagCondBranch}
-	t[0xE1] = entry{op: OpLOOPE, enc: encRel8, flags: FlagCondBranch}
-	t[0xE2] = entry{op: OpLOOP, enc: encRel8, flags: FlagCondBranch}
-	t[0xE3] = entry{op: OpJECXZ, enc: encRel8, flags: FlagCondBranch}
-	t[0xE4] = entry{op: OpIN, enc: encIb, flags: FlagIO}
-	t[0xE5] = entry{op: OpIN, enc: encIb, flags: FlagIO}
-	t[0xE6] = entry{op: OpOUT, enc: encIb, flags: FlagIO}
-	t[0xE7] = entry{op: OpOUT, enc: encIb, flags: FlagIO}
-	t[0xE8] = entry{op: OpCALL, enc: encRelZ, flags: FlagCall | FlagStack}
-	t[0xE9] = entry{op: OpJMP, enc: encRelZ, flags: FlagUncondJump}
-	t[0xEA] = entry{op: OpJMPF, enc: encFarPtr, flags: FlagUncondJump | FlagFar}
-	t[0xEB] = entry{op: OpJMP, enc: encRel8, flags: FlagUncondJump}
-	t[0xEC] = entry{op: OpIN, enc: encNone, flags: FlagIO}
-	t[0xED] = entry{op: OpIN, enc: encNone, flags: FlagIO}
-	t[0xEE] = entry{op: OpOUT, enc: encNone, flags: FlagIO}
-	t[0xEF] = entry{op: OpOUT, enc: encNone, flags: FlagIO}
-
-	t[0xF0] = entry{enc: encPrefix}
-	t[0xF1] = entry{op: OpINT1, enc: encNone, flags: FlagInt | FlagPrivileged}
-	t[0xF2] = entry{enc: encPrefix}
-	t[0xF3] = entry{enc: encPrefix}
-	t[0xF4] = entry{op: OpHLT, enc: encNone, flags: FlagPrivileged}
-	t[0xF5] = entry{op: OpCMC, enc: encNone}
-	t[0xF6] = entry{enc: encGrp3} // grp3 Eb
-	t[0xF7] = entry{enc: encGrp3} // grp3 Ev
-	t[0xF8] = entry{op: OpCLC, enc: encNone}
-	t[0xF9] = entry{op: OpSTC, enc: encNone}
-	t[0xFA] = entry{op: OpCLI, enc: encNone, flags: FlagPrivileged}
-	t[0xFB] = entry{op: OpSTI, enc: encNone, flags: FlagPrivileged}
-	t[0xFC] = entry{op: OpCLD, enc: encNone}
-	t[0xFD] = entry{op: OpSTD, enc: encNone}
-	t[0xFE] = entry{enc: encModRM} // grp4
-	t[0xFF] = entry{enc: encModRM} // grp5
-
+	fill(&t, 0x40, 0x47, entry{op: OpINC, enc: encNone})
+	fill(&t, 0x48, 0x4F, entry{op: OpDEC, enc: encNone})
+	fill(&t, 0x50, 0x57, entry{op: OpPUSH, enc: encNone, flags: FlagStack})
+	fill(&t, 0x58, 0x5F, entry{op: OpPOP, enc: encNone, flags: FlagStack})
+	fill(&t, 0x70, 0x7F, entry{op: OpJcc, enc: encRel8, flags: FlagCondBranch})
+	fill(&t, 0x91, 0x97, entry{op: OpXCHG, enc: encNone})
+	fill(&t, 0xB0, 0xB7, entry{op: OpMOV, enc: encIb})
+	fill(&t, 0xB8, 0xBF, entry{op: OpMOV, enc: encIz})
+	fill(&t, 0xD8, 0xDF, entry{op: OpFPU, enc: encModRM, flags: FlagFPU, mem: memRead})
 	return t
 }
 
@@ -298,123 +300,93 @@ func buildOneByte() [256]entry {
 var twoByte = buildTwoByte()
 
 func buildTwoByte() [256]entry {
-	var t [256]entry
-	for i := range t {
-		t[i] = entry{op: OpInvalid, enc: encNone, flags: FlagUndefined}
-	}
+	t := [256]entry{
+		0x00: {op: OpSysGrp6, enc: encModRM, flags: FlagSystem, mem: memRead},
+		0x01: {op: OpSysGrp7, enc: encModRM, flags: FlagSystem | FlagPrivileged, mem: memRead},
+		0x02: {op: OpLAR, enc: encModRM, flags: FlagSystem, mem: memRead},
+		0x03: {op: OpLSL, enc: encModRM, flags: FlagSystem, mem: memRead},
+		0x06: {op: OpCLTS, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x08: {op: OpINVD, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x09: {op: OpWBINVD, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x0B: {op: OpUD2, enc: encNone, flags: FlagUndefined},
+		0x0D: {op: OpNOP, enc: encModRM, mem: memNone}, // prefetch hints
 
-	t[0x00] = entry{op: OpSysGrp6, enc: encModRM, flags: FlagSystem, mem: memRead}
-	t[0x01] = entry{op: OpSysGrp7, enc: encModRM, flags: FlagSystem | FlagPrivileged, mem: memRead}
-	t[0x02] = entry{op: OpLAR, enc: encModRM, flags: FlagSystem, mem: memRead}
-	t[0x03] = entry{op: OpLSL, enc: encModRM, flags: FlagSystem, mem: memRead}
-	t[0x06] = entry{op: OpCLTS, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x08] = entry{op: OpINVD, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x09] = entry{op: OpWBINVD, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x0B] = entry{op: OpUD2, enc: encNone, flags: FlagUndefined}
-	t[0x0D] = entry{op: OpNOP, enc: encModRM, mem: memNone} // prefetch hints
+		0x20: {op: OpMOVCR, enc: encModRM, flags: FlagPrivileged | FlagSystem},
+		0x21: {op: OpMOVDR, enc: encModRM, flags: FlagPrivileged | FlagSystem},
+		0x22: {op: OpMOVCR, enc: encModRM, flags: FlagPrivileged | FlagSystem},
+		0x23: {op: OpMOVDR, enc: encModRM, flags: FlagPrivileged | FlagSystem},
 
-	// 0x10-0x17: SSE moves (length-wise plain ModRM forms).
-	for b := 0x10; b <= 0x17; b++ {
-		t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-	}
-	// 0x18-0x1F: hint NOP space.
-	for b := 0x18; b <= 0x1F; b++ {
-		t[b] = entry{op: OpNOP, enc: encModRM, mem: memNone}
-	}
+		0x30: {op: OpWRMSR, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x31: {op: OpRDTSC, enc: encNone},
+		0x32: {op: OpRDMSR, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x33: {op: OpRDPMC, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0x34: {op: OpSYSENTER, enc: encNone, flags: FlagSystem},
+		0x35: {op: OpSYSEXIT, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		// 0x38/0x3A escape to the three-byte maps (SSSE3/SSE4 space).
+		0x38: {enc: encEscape38},
+		0x3A: {enc: encEscape3A},
 
-	t[0x20] = entry{op: OpMOVCR, enc: encModRM, flags: FlagPrivileged | FlagSystem}
-	t[0x21] = entry{op: OpMOVDR, enc: encModRM, flags: FlagPrivileged | FlagSystem}
-	t[0x22] = entry{op: OpMOVCR, enc: encModRM, flags: FlagPrivileged | FlagSystem}
-	t[0x23] = entry{op: OpMOVDR, enc: encModRM, flags: FlagPrivileged | FlagSystem}
-	for b := 0x28; b <= 0x2F; b++ {
-		t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-	}
+		0x70: {op: OpSSE, enc: encModRMIb, mem: memRead}, // pshufw
+		0x71: {op: OpSSE, enc: encModRMIb},               // grp12
+		0x72: {op: OpSSE, enc: encModRMIb},               // grp13
+		0x73: {op: OpSSE, enc: encModRMIb},               // grp14
+		0x77: {op: OpEMMS, enc: encNone},
 
-	t[0x30] = entry{op: OpWRMSR, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x31] = entry{op: OpRDTSC, enc: encNone}
-	t[0x32] = entry{op: OpRDMSR, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x33] = entry{op: OpRDPMC, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0x34] = entry{op: OpSYSENTER, enc: encNone, flags: FlagSystem}
-	t[0x35] = entry{op: OpSYSEXIT, enc: encNone, flags: FlagPrivileged | FlagSystem}
+		0xA0: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0xA1: {op: OpPOP, enc: encNone, flags: FlagStack},
+		0xA2: {op: OpCPUID, enc: encNone},
+		0xA3: {op: OpBT, enc: encModRM, mem: memRead},
+		0xA4: {op: OpSHLD, enc: encModRMIb, mem: memRW},
+		0xA5: {op: OpSHLD, enc: encModRM, mem: memRW},
+		0xA8: {op: OpPUSH, enc: encNone, flags: FlagStack},
+		0xA9: {op: OpPOP, enc: encNone, flags: FlagStack},
+		0xAA: {op: OpRSM, enc: encNone, flags: FlagPrivileged | FlagSystem},
+		0xAB: {op: OpBTS, enc: encModRM, mem: memRW},
+		0xAC: {op: OpSHRD, enc: encModRMIb, mem: memRW},
+		0xAD: {op: OpSHRD, enc: encModRM, mem: memRW},
+		0xAE: {op: OpSSE, enc: encModRM, mem: memRead}, // grp15 fences etc.
+		0xAF: {op: OpIMUL, enc: encModRM, mem: memRead},
 
-	for b := 0x40; b <= 0x4F; b++ {
-		t[b] = entry{op: OpCmovcc, enc: encModRM, mem: memRead}
-	}
-	for b := 0x50; b <= 0x6F; b++ {
-		t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-	}
-	t[0x70] = entry{op: OpSSE, enc: encModRMIb, mem: memRead} // pshufw
-	t[0x71] = entry{op: OpSSE, enc: encModRMIb}               // grp12
-	t[0x72] = entry{op: OpSSE, enc: encModRMIb}               // grp13
-	t[0x73] = entry{op: OpSSE, enc: encModRMIb}               // grp14
-	for b := 0x74; b <= 0x76; b++ {
-		t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-	}
-	t[0x77] = entry{op: OpEMMS, enc: encNone}
-	for b := 0x7C; b <= 0x7F; b++ {
-		t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-	}
+		0xB0: {op: OpCMPXCHG, enc: encModRM, mem: memRW},
+		0xB1: {op: OpCMPXCHG, enc: encModRM, mem: memRW},
+		0xB2: {op: OpLSS, enc: encModRM, mem: memRead},
+		0xB3: {op: OpBTR, enc: encModRM, mem: memRW},
+		0xB4: {op: OpLFS, enc: encModRM, mem: memRead},
+		0xB5: {op: OpLGS, enc: encModRM, mem: memRead},
+		0xB6: {op: OpMOVZX, enc: encModRM, mem: memRead},
+		0xB7: {op: OpMOVZX, enc: encModRM, mem: memRead},
+		0xBA: {enc: encModRMIb}, // grp8
+		0xBB: {op: OpBTC, enc: encModRM, mem: memRW},
+		0xBC: {op: OpBSF, enc: encModRM, mem: memRead},
+		0xBD: {op: OpBSR, enc: encModRM, mem: memRead},
+		0xBE: {op: OpMOVSX, enc: encModRM, mem: memRead},
+		0xBF: {op: OpMOVSX, enc: encModRM, mem: memRead},
 
-	for b := 0x80; b <= 0x8F; b++ {
-		t[b] = entry{op: OpJcc, enc: encRelZ, flags: FlagCondBranch}
+		0xC0: {op: OpXADD, enc: encModRM, mem: memRW},
+		0xC1: {op: OpXADD, enc: encModRM, mem: memRW},
+		0xC2: {op: OpSSE, enc: encModRMIb, mem: memRead},
+		0xC3: {op: OpMOV, enc: encModRM, mem: memWrite}, // movnti
+		0xC4: {op: OpSSE, enc: encModRMIb, mem: memRead},
+		0xC5: {op: OpSSE, enc: encModRMIb, mem: memRead},
+		0xC6: {op: OpSSE, enc: encModRMIb, mem: memRead},
+		0xC7: {op: OpCMPXCHG8B, enc: encModRM, mem: memRW},
 	}
-	for b := 0x90; b <= 0x9F; b++ {
-		t[b] = entry{op: OpSetcc, enc: encModRM, mem: memWrite}
-	}
-
-	t[0xA0] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0xA1] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-	t[0xA2] = entry{op: OpCPUID, enc: encNone}
-	t[0xA3] = entry{op: OpBT, enc: encModRM, mem: memRead}
-	t[0xA4] = entry{op: OpSHLD, enc: encModRMIb, mem: memRW}
-	t[0xA5] = entry{op: OpSHLD, enc: encModRM, mem: memRW}
-	t[0xA8] = entry{op: OpPUSH, enc: encNone, flags: FlagStack}
-	t[0xA9] = entry{op: OpPOP, enc: encNone, flags: FlagStack}
-	t[0xAA] = entry{op: OpRSM, enc: encNone, flags: FlagPrivileged | FlagSystem}
-	t[0xAB] = entry{op: OpBTS, enc: encModRM, mem: memRW}
-	t[0xAC] = entry{op: OpSHRD, enc: encModRMIb, mem: memRW}
-	t[0xAD] = entry{op: OpSHRD, enc: encModRM, mem: memRW}
-	t[0xAE] = entry{op: OpSSE, enc: encModRM, mem: memRead} // grp15 fences etc.
-	t[0xAF] = entry{op: OpIMUL, enc: encModRM, mem: memRead}
-
-	t[0xB0] = entry{op: OpCMPXCHG, enc: encModRM, mem: memRW}
-	t[0xB1] = entry{op: OpCMPXCHG, enc: encModRM, mem: memRW}
-	t[0xB2] = entry{op: OpLSS, enc: encModRM, mem: memRead}
-	t[0xB3] = entry{op: OpBTR, enc: encModRM, mem: memRW}
-	t[0xB4] = entry{op: OpLFS, enc: encModRM, mem: memRead}
-	t[0xB5] = entry{op: OpLGS, enc: encModRM, mem: memRead}
-	t[0xB6] = entry{op: OpMOVZX, enc: encModRM, mem: memRead}
-	t[0xB7] = entry{op: OpMOVZX, enc: encModRM, mem: memRead}
-	t[0xBA] = entry{enc: encModRMIb} // grp8
-	t[0xBB] = entry{op: OpBTC, enc: encModRM, mem: memRW}
-	t[0xBC] = entry{op: OpBSF, enc: encModRM, mem: memRead}
-	t[0xBD] = entry{op: OpBSR, enc: encModRM, mem: memRead}
-	t[0xBE] = entry{op: OpMOVSX, enc: encModRM, mem: memRead}
-	t[0xBF] = entry{op: OpMOVSX, enc: encModRM, mem: memRead}
-
-	t[0xC0] = entry{op: OpXADD, enc: encModRM, mem: memRW}
-	t[0xC1] = entry{op: OpXADD, enc: encModRM, mem: memRW}
-	t[0xC2] = entry{op: OpSSE, enc: encModRMIb, mem: memRead}
-	t[0xC3] = entry{op: OpMOV, enc: encModRM, mem: memWrite} // movnti
-	t[0xC4] = entry{op: OpSSE, enc: encModRMIb, mem: memRead}
-	t[0xC5] = entry{op: OpSSE, enc: encModRMIb, mem: memRead}
-	t[0xC6] = entry{op: OpSSE, enc: encModRMIb, mem: memRead}
-	t[0xC7] = entry{op: OpCMPXCHG8B, enc: encModRM, mem: memRW}
-	for b := 0xC8; b <= 0xCF; b++ {
-		t[b] = entry{op: OpBSWAP, enc: encNone}
-	}
-
-	// 0x38/0x3A escape to the three-byte maps (SSSE3/SSE4 space).
-	t[0x38] = entry{enc: encEscape38}
-	t[0x3A] = entry{enc: encEscape3A}
-
+	// 0x10-0x17: SSE moves (length-wise plain ModRM forms); 0x18-0x1F:
+	// hint NOP space.
+	fill(&t, 0x10, 0x17, entry{op: OpSSE, enc: encModRM, mem: memRead})
+	fill(&t, 0x18, 0x1F, entry{op: OpNOP, enc: encModRM, mem: memNone})
+	fill(&t, 0x28, 0x2F, entry{op: OpSSE, enc: encModRM, mem: memRead})
+	fill(&t, 0x40, 0x4F, entry{op: OpCmovcc, enc: encModRM, mem: memRead})
+	fill(&t, 0x50, 0x6F, entry{op: OpSSE, enc: encModRM, mem: memRead})
+	fill(&t, 0x74, 0x76, entry{op: OpSSE, enc: encModRM, mem: memRead})
+	fill(&t, 0x7C, 0x7F, entry{op: OpSSE, enc: encModRM, mem: memRead})
+	fill(&t, 0x80, 0x8F, entry{op: OpJcc, enc: encRelZ, flags: FlagCondBranch})
+	fill(&t, 0x90, 0x9F, entry{op: OpSetcc, enc: encModRM, mem: memWrite})
+	fill(&t, 0xC8, 0xCF, entry{op: OpBSWAP, enc: encNone})
 	// 0xD0-0xFE: MMX/SSE arithmetic space (ModRM forms). A few slots are
-	// genuinely undefined; keep the common shape and carve out 0xFF.
-	for b := 0xD0; b <= 0xFE; b++ {
-		t[b] = entry{op: OpMMX, enc: encModRM, mem: memRead}
-	}
-	t[0xFF] = entry{op: OpInvalid, enc: encNone, flags: FlagUndefined}
-
+	// genuinely undefined; keep the common shape and leave 0xFF to #UD.
+	fill(&t, 0xD0, 0xFE, entry{op: OpMMX, enc: encModRM, mem: memRead})
+	orUndefined(&t, entry{op: OpInvalid, enc: encNone, flags: FlagUndefined})
 	return t
 }
 
@@ -425,24 +397,18 @@ var threeByte38 = buildThreeByte38()
 
 func buildThreeByte38() [256]entry {
 	var t [256]entry
-	for i := range t {
-		t[i] = entry{op: OpInvalid, enc: encModRM, flags: FlagUndefined}
-	}
 	// SSSE3: 00-0B, 1C-1E; SSE4.1: 10-17, 20-25, 28-2B, 30-3D, 40-41;
 	// SSE4.2/CRC: F0-F1.
-	mark := func(lo, hi int) {
-		for b := lo; b <= hi; b++ {
-			t[b] = entry{op: OpSSE, enc: encModRM, mem: memRead}
-		}
-	}
-	mark(0x00, 0x0B)
-	mark(0x10, 0x17)
-	mark(0x1C, 0x1E)
-	mark(0x20, 0x25)
-	mark(0x28, 0x2B)
-	mark(0x30, 0x3D)
-	mark(0x40, 0x41)
-	mark(0xF0, 0xF1)
+	sse := entry{op: OpSSE, enc: encModRM, mem: memRead}
+	fill(&t, 0x00, 0x0B, sse)
+	fill(&t, 0x10, 0x17, sse)
+	fill(&t, 0x1C, 0x1E, sse)
+	fill(&t, 0x20, 0x25, sse)
+	fill(&t, 0x28, 0x2B, sse)
+	fill(&t, 0x30, 0x3D, sse)
+	fill(&t, 0x40, 0x41, sse)
+	fill(&t, 0xF0, 0xF1, sse)
+	orUndefined(&t, entry{op: OpInvalid, enc: encModRM, flags: FlagUndefined})
 	return t
 }
 
@@ -451,18 +417,12 @@ var threeByte3A = buildThreeByte3A()
 
 func buildThreeByte3A() [256]entry {
 	var t [256]entry
-	for i := range t {
-		t[i] = entry{op: OpInvalid, enc: encModRMIb, flags: FlagUndefined}
-	}
-	mark := func(lo, hi int) {
-		for b := lo; b <= hi; b++ {
-			t[b] = entry{op: OpSSE, enc: encModRMIb, mem: memRead}
-		}
-	}
-	mark(0x08, 0x0F) // round/blend/palignr
-	mark(0x14, 0x17) // pextr/extractps
-	mark(0x20, 0x22) // pinsr/insertps
-	mark(0x40, 0x42) // dpps/dppd/mpsadbw
-	mark(0x60, 0x63) // pcmpestr/pcmpistr
+	sse := entry{op: OpSSE, enc: encModRMIb, mem: memRead}
+	fill(&t, 0x08, 0x0F, sse) // round/blend/palignr
+	fill(&t, 0x14, 0x17, sse) // pextr/extractps
+	fill(&t, 0x20, 0x22, sse) // pinsr/insertps
+	fill(&t, 0x40, 0x42, sse) // dpps/dppd/mpsadbw
+	fill(&t, 0x60, 0x63, sse) // pcmpestr/pcmpistr
+	orUndefined(&t, entry{op: OpInvalid, enc: encModRMIb, flags: FlagUndefined})
 	return t
 }

@@ -1,6 +1,9 @@
 package x86
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -324,6 +327,83 @@ func TestEveryThreeByteOpcodeDecodes(t *testing.T) {
 			}
 			if inst.Len < 3 || inst.Len > MaxInstLen {
 				t.Fatalf("0F %02x %02x: len=%d", esc, b, inst.Len)
+			}
+		}
+	}
+}
+
+// entryMaps and groupTables are the linked decode tables the two tests
+// below walk.
+var entryMaps = []struct {
+	name string
+	t    *[256]entry
+}{
+	{"oneByte", &oneByte}, {"twoByte", &twoByte},
+	{"threeByte38", &threeByte38}, {"threeByte3A", &threeByte3A},
+}
+
+var groupTables = []struct {
+	name string
+	g    *[8]groupOp
+}{
+	{"grp1", &grp1}, {"grp2", &grp2}, {"grp3", &grp3},
+	{"grp4", &grp4}, {"grp5", &grp5}, {"grp8", &grp8},
+}
+
+// TestTableDigestPinned pins every slot of the four opcode maps and
+// the group tables by SHA-256, so a rewrite of how the tables are
+// built must leave them bit-identical. Change the digest only with a
+// deliberate change to a table entry.
+func TestTableDigestPinned(t *testing.T) {
+	h := sha256.New()
+	for _, m := range entryMaps {
+		for b, e := range m.t {
+			fmt.Fprintf(h, "%s %02x %d %d %d %d\n", m.name, b, int(e.op), int(e.enc), uint32(e.flags), int(e.mem))
+		}
+	}
+	for _, g := range groupTables {
+		for r, e := range g.g {
+			fmt.Fprintf(h, "%s /%d %d %d %d\n", g.name, r, int(e.op), uint32(e.flags), int(e.mem))
+		}
+	}
+	const want = "dd24cf16608cf9cb1a998f653e748a910c54640d07c8992d37131368d6e1fed9"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("table digest = %s, want %s", got, want)
+	}
+}
+
+// TestTableEntriesWellFormed checks the linked tables slot by slot:
+// no slot is left zero (it would decode as a one-byte instruction with
+// no op and no flags, and no code path would have decided so),
+// routing entries carry nothing the decoder never reads, and encodings
+// without a ModRM byte, like #UD entries, declare no memory direction.
+// Group rows must all be set: a short [8]groupOp literal zero-fills.
+func TestTableEntriesWellFormed(t *testing.T) {
+	for _, m := range entryMaps {
+		for b, e := range m.t {
+			where := fmt.Sprintf("%s[%#02x]", m.name, b)
+			if e == (entry{}) {
+				t.Errorf("%s is the zero entry", where)
+			}
+			switch e.enc {
+			case encPrefix, encEscape, encEscape38, encEscape3A:
+				if e.op != 0 || e.flags != 0 || e.mem != memNone {
+					t.Errorf("%s is a routing entry but carries op/flags/mem %+v", where, e)
+				}
+			case encIb, encIz, encIw, encIwIb, encRel8, encRelZ, encFarPtr:
+				if e.mem != memNone {
+					t.Errorf("%s has no ModRM byte but declares memory direction %d", where, e.mem)
+				}
+			}
+			if e.flags.Has(FlagUndefined) && e.mem != memNone {
+				t.Errorf("%s is FlagUndefined but declares memory direction %d", where, e.mem)
+			}
+		}
+	}
+	for _, g := range groupTables {
+		for r, e := range g.g {
+			if e == (groupOp{}) {
+				t.Errorf("%s /%d is the zero groupOp", g.name, r)
 			}
 		}
 	}
