@@ -62,7 +62,8 @@ test:
 # suite (failing on any non-baselined finding), the race-enabled tests
 # — which include the lint framework's own tests and the self-hosting
 # TestRepoIsClean gate — short fuzz smokes over the wire codec, the
-# content decoder (whose fuzz target checks Views against the reference
+# client's response reader (arbitrary response streams against pending
+# calls), the content decoder (whose fuzz target checks Views against the reference
 # peelers), the scan core (fused and traced scans, stream windows
 # and ScanReference against each other) and the x86 spec decoder that
 # serves every offset the scan core's tables leave unresolved, and the
@@ -72,6 +73,7 @@ test:
 ci: build vet lint verify
 	$(GO) test -race ./...
 	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzClientFrames -fuzztime 10s ./internal/server/client/
 	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
 	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s ./internal/mel/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/x86/
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz=FuzzScanDifferential -fuzztime=30s ./internal/mel/
 	$(GO) test -run NONE -fuzz=FuzzDecodeViews -fuzztime=30s ./internal/content/
 	$(GO) test -run NONE -fuzz=FuzzWire -fuzztime=30s ./internal/server/
+	$(GO) test -run NONE -fuzz=FuzzClientFrames -fuzztime=30s ./internal/server/client/
 
 report:
 	$(GO) run ./cmd/melbench -exp all | tee report.txt

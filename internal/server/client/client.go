@@ -3,14 +3,23 @@
 // pipelined — each Scan gets a fresh request id, writes its frame, and
 // waits for the matching response, so goroutines sharing a client keep
 // the connection full without head-of-line blocking on scan order.
+//
+// No background goroutine runs. A waiting caller reads the connection
+// itself: one caller at a time holds the reader role and reads frames
+// until its own response arrives, handing other callers' responses to
+// them on the way, and when it leaves the role passes to the next
+// waiter. With one request in flight the caller reads its own response,
+// with no goroutine hand-off between the socket and the caller.
 package client
 
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,8 +99,10 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithMaxFrame overrides the largest response frame the client will
-// accept (default 1 MiB plus protocol overhead).
+// WithMaxFrame overrides the largest response frame body the client
+// will accept (default 64 KiB; the server's verdicts and error messages
+// are well under a kilobyte). The client keeps a read buffer that holds
+// one frame of this size.
 func WithMaxFrame(n int) Option {
 	return func(c *Client) {
 		if n > 0 {
@@ -123,6 +134,7 @@ func WithContent() Option {
 type Client struct {
 	conn     net.Conn
 	bw       *bufio.Writer
+	br       *bufio.Reader // read only by the holder of the reader role
 	timeout  time.Duration
 	maxFrame uint32
 	tracing  atomic.Bool
@@ -130,13 +142,23 @@ type Client struct {
 
 	wmu sync.Mutex // serializes frame writes and flushes
 
+	// readTok holds a token while a caller has the reader role.
+	readTok chan struct{}
+	// wakeMu guards the read deadline through which a context's end
+	// wakes the role holder out of a blocked read.
+	wakeMu sync.Mutex
+	// wakeGen counts reader-role holds; a wake armed for an earlier
+	// hold does nothing.
+	wakeGen uint64
+	// woken reports that a wake set the read deadline to now and no
+	// holder has cleared it since.
+	woken bool
+
 	mu      sync.Mutex
 	pending map[uint64]chan response
 	nextID  uint64
 	closed  bool
-	brokenE error // set when the read loop dies; fails later calls fast
-
-	readDone chan struct{}
+	brokenE error // set when the connection fails; fails later calls fast
 }
 
 // response is one raw reply frame.
@@ -144,6 +166,14 @@ type response struct {
 	typ     byte
 	payload []byte
 }
+
+// Frame geometry: a response frame is a 4-byte length, then a body of
+// type, request id and payload.
+const (
+	lenPrefix       = 4
+	frameHeader     = 1 + 8
+	defaultMaxFrame = 64 << 10
+)
 
 // Dial connects to a scan daemon.
 func Dial(addr string, opts ...Option) (*Client, error) {
@@ -160,52 +190,15 @@ func NewClient(conn net.Conn, opts ...Option) *Client {
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
 		timeout:  30 * time.Second,
-		maxFrame: 1<<20 + 1024,
+		maxFrame: defaultMaxFrame,
+		readTok:  make(chan struct{}, 1),
 		pending:  make(map[uint64]chan response),
-		readDone: make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	go c.readLoop()
+	c.br = bufio.NewReaderSize(conn, lenPrefix+int(c.maxFrame))
 	return c
-}
-
-// readLoop dispatches response frames to their waiting requests. On
-// connection failure every in-flight and future request fails with the
-// read error.
-func (c *Client) readLoop() {
-	defer close(c.readDone)
-	br := bufio.NewReaderSize(c.conn, 64<<10)
-	for {
-		typ, id, payload, err := server.ReadFrame(br, c.maxFrame)
-		if err != nil {
-			c.mu.Lock()
-			if c.brokenE == nil {
-				if c.closed {
-					c.brokenE = ErrClosed
-				} else {
-					c.brokenE = fmt.Errorf("client: connection lost: %w", err)
-				}
-			}
-			pending := c.pending
-			c.pending = make(map[uint64]chan response)
-			c.mu.Unlock()
-			for _, ch := range pending {
-				close(ch) // receivers translate a closed channel via brokenE
-			}
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[id]
-		if ok {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- response{typ: typ, payload: payload}
-		}
-	}
 }
 
 // Scan submits one payload and blocks for its verdict, bounded by the
@@ -249,7 +242,7 @@ func (c *Client) ScanContext(ctx context.Context, payload []byte) (Result, error
 func (c *Client) scan(ctx context.Context, payload []byte, traced, viaContent bool) (Result, error) {
 	ch := make(chan response, 1)
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.brokenE != nil {
 		err := c.brokenE
 		c.mu.Unlock()
 		if err == nil {
@@ -257,21 +250,10 @@ func (c *Client) scan(ctx context.Context, payload []byte, traced, viaContent bo
 		}
 		return Result{}, err
 	}
-	if c.brokenE != nil {
-		err := c.brokenE
-		c.mu.Unlock()
-		return Result{}, err
-	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
 	c.mu.Unlock()
-
-	unregister := func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-	}
 
 	c.wmu.Lock()
 	if d, ok := ctx.Deadline(); ok {
@@ -279,16 +261,18 @@ func (c *Client) scan(ctx context.Context, payload []byte, traced, viaContent bo
 	} else {
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
-	var frame []byte
+	// The frame is built in the write buffer's free space; one larger
+	// than that space is written straight through.
+	frame := c.bw.AvailableBuffer()
 	switch {
 	case viaContent && traced:
-		frame = server.AppendScanContentTracedRequest(nil, id, tracing.NewID(), payload)
+		frame = server.AppendScanContentTracedRequest(frame, id, tracing.NewID(), payload)
 	case viaContent:
-		frame = server.AppendScanContentRequest(nil, id, payload)
+		frame = server.AppendScanContentRequest(frame, id, payload)
 	case traced:
-		frame = server.AppendScanTracedRequest(nil, id, tracing.NewID(), payload)
+		frame = server.AppendScanTracedRequest(frame, id, tracing.NewID(), payload)
 	default:
-		frame = server.AppendScanRequest(nil, id, payload)
+		frame = server.AppendScanRequest(frame, id, payload)
 	}
 	start := time.Now()
 	_, werr := c.bw.Write(frame)
@@ -297,25 +281,155 @@ func (c *Client) scan(ctx context.Context, payload []byte, traced, viaContent bo
 	}
 	c.wmu.Unlock()
 	if werr != nil {
-		unregister()
+		c.unregister(id)
 		return Result{}, fmt.Errorf("client: send: %w", werr)
 	}
 
+	resp, err := c.await(ctx, ch)
+	if err != nil {
+		c.unregister(id)
+		return Result{}, err
+	}
+	return decodeResponse(resp, time.Since(start))
+}
+
+// unregister drops id's pending entry, so a late response is dropped.
+func (c *Client) unregister(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// await waits for the response on ch, until ctx ends or the connection
+// fails. A caller that finds the reader role free takes it and reads
+// the connection itself until its response arrives.
+func (c *Client) await(ctx context.Context, ch chan response) (response, error) {
 	select {
 	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.brokenE
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return Result{}, err
-		}
-		return decodeResponse(resp, time.Since(start))
+		return c.received(resp, ok)
 	case <-ctx.Done():
-		unregister()
-		return Result{}, ctx.Err()
+		return response{}, ctx.Err()
+	case c.readTok <- struct{}{}:
+	}
+	defer func() { <-c.readTok }() // the next waiter takes the role
+	stop := c.armWake(ctx)
+	defer stop()
+	for {
+		select {
+		case resp, ok := <-ch:
+			return c.received(resp, ok)
+		default:
+		}
+		typ, id, payload, err := c.readFrame()
+		switch {
+		case err == nil:
+			c.deliver(id, response{typ: typ, payload: payload})
+		case ctx.Err() != nil && errors.Is(err, os.ErrDeadlineExceeded):
+			// ctx's wake cut the read short. No partial frame was
+			// consumed, so the next holder reads on from a frame
+			// boundary.
+			return response{}, ctx.Err()
+		default:
+			c.fail(err) // closes ch
+		}
+	}
+}
+
+// received turns what a pending call's channel yielded into the
+// response or, for a closed channel, the connection's error.
+func (c *Client) received(resp response, ok bool) (response, error) {
+	if ok {
+		return resp, nil
+	}
+	c.mu.Lock()
+	err := c.brokenE
+	c.mu.Unlock()
+	if err == nil {
+		err = ErrClosed
+	}
+	return response{}, err
+}
+
+// armWake makes ctx's end wake the reader-role holder out of a blocked
+// read by setting the read deadline to now. A wake left set by an
+// earlier holder is cleared first. A wake that fires after this hold
+// ended finds the generation moved on and does nothing, so it cannot
+// cut a later holder's read short. The returned stop disarms the wake.
+func (c *Client) armWake(ctx context.Context) (stop func() bool) {
+	c.wakeMu.Lock()
+	c.wakeGen++
+	gen := c.wakeGen
+	if c.woken {
+		c.woken = false
+		_ = c.conn.SetReadDeadline(time.Time{})
+	}
+	c.wakeMu.Unlock()
+	if ctx.Done() == nil {
+		return func() bool { return false }
+	}
+	return context.AfterFunc(ctx, func() {
+		c.wakeMu.Lock()
+		defer c.wakeMu.Unlock()
+		if c.wakeGen == gen {
+			c.woken = true
+			_ = c.conn.SetReadDeadline(time.Now())
+		}
+	})
+}
+
+// readFrame parses the next response frame out of the read buffer. It
+// peeks until the whole frame is buffered and only then discards it,
+// so a read cut short consumes nothing.
+func (c *Client) readFrame() (typ byte, id uint64, payload []byte, err error) {
+	b, err := c.br.Peek(lenPrefix)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n < frameHeader || n > c.maxFrame {
+		return 0, 0, nil, fmt.Errorf("client: response frame body of %d bytes, want %d to %d", n, frameHeader, c.maxFrame)
+	}
+	if b, err = c.br.Peek(lenPrefix + int(n)); err != nil {
+		return 0, 0, nil, err
+	}
+	typ = b[lenPrefix]
+	id = binary.BigEndian.Uint64(b[lenPrefix+1:])
+	payload = append([]byte(nil), b[lenPrefix+frameHeader:]...)
+	_, _ = c.br.Discard(lenPrefix + int(n))
+	return typ, id, payload, nil
+}
+
+// deliver hands a response to the call waiting for id; a frame for an
+// id nobody waits for (answered already, or abandoned) is dropped.
+func (c *Client) deliver(id uint64, resp response) {
+	c.mu.Lock()
+	ch, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if ok {
+		ch <- resp
+	}
+}
+
+// fail ends the connection for every pending call: their channels
+// close, and they and every later call fail with the connection's
+// error — ErrClosed after Close.
+func (c *Client) fail(err error) {
+	c.mu.Lock()
+	if c.brokenE == nil {
+		if c.closed {
+			c.brokenE = ErrClosed
+		} else {
+			c.brokenE = fmt.Errorf("client: connection lost: %w", err)
+		}
+	}
+	pending := c.pending
+	c.pending = make(map[uint64]chan response)
+	c.mu.Unlock()
+	for _, ch := range pending {
+		close(ch) // receivers translate a closed channel via brokenE
 	}
 }
 
@@ -395,7 +509,8 @@ func fromVerdict(v core.Verdict, cached bool) Result {
 	}
 }
 
-// Close tears the connection down and fails outstanding requests.
+// Close tears the connection down and fails outstanding requests with
+// ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -405,6 +520,6 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	err := c.conn.Close()
-	<-c.readDone
+	c.fail(ErrClosed)
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -342,5 +343,194 @@ func TestDowngradeOnBadRequest(t *testing.T) {
 	write(t, conn, verdictFrame(r.id, 6, false))
 	if got := <-resc; got.err != nil || got.r.MEL != 6 {
 		t.Fatalf("steady-state scan = (%+v, %v)", got.r, got.err)
+	}
+}
+
+// TestReverseBurstResolvesOnce: the server answers concurrent calls in
+// reverse order in one write, so whichever caller holds the reader role
+// reads every response and hands the others theirs. Each call resolves
+// exactly once with its own verdict.
+func TestReverseBurstResolvesOnce(t *testing.T) {
+	f, addr := startFake(t)
+	c, err := Dial(addr, WithTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn := f.accepted(t)
+
+	const n = 12
+	type outcome struct {
+		want int
+		res  Result
+		err  error
+	}
+	results := make(chan outcome, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			p := make([]byte, 200+i)
+			res, err := c.Scan(p)
+			results <- outcome{len(p), res, err}
+		}(i)
+	}
+	var burst []byte
+	reqs := make([]request, n)
+	for i := range reqs {
+		reqs[i] = f.next(t)
+	}
+	for i := n - 1; i >= 0; i-- {
+		burst = append(burst, verdictFrame(reqs[i].id, len(reqs[i].payload), false)...)
+	}
+	write(t, conn, burst)
+	for i := 0; i < n; i++ {
+		o := <-results
+		if o.err != nil || o.res.MEL != o.want {
+			t.Fatalf("call with %d-byte payload = (MEL %d, %v)", o.want, o.res.MEL, o.err)
+		}
+	}
+	if p := pendingLen(c); p != 0 {
+		t.Fatalf("%d ids still pending after every call resolved", p)
+	}
+	if len(c.readTok) != 0 {
+		t.Fatal("reader role still held after every call resolved")
+	}
+}
+
+// notifyConn reports the size of every read that returned data.
+type notifyConn struct {
+	net.Conn
+	reads chan int
+}
+
+func (c *notifyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		select {
+		case c.reads <- n:
+		default:
+		}
+	}
+	return n, err
+}
+
+// TestCancelledReaderLeavesFrameIntact: the caller holding the reader
+// role has read half of another call's response frame when its context
+// ends. It leaves without consuming the partial frame, the role passes
+// to the waiting call, and that call gets its whole frame.
+func TestCancelledReaderLeavesFrameIntact(t *testing.T) {
+	f, addr := startFake(t)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := &notifyConn{Conn: raw, reads: make(chan int, 16)}
+	c := NewClient(nc, WithTimeout(20*time.Second))
+	defer c.Close()
+	conn := f.accepted(t)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	holderErr := make(chan error, 1)
+	go func() {
+		_, err := c.ScanContext(ctx, []byte("abandoned"))
+		holderErr <- err
+	}()
+	abandoned := f.next(t)
+	for deadline := time.Now().Add(10 * time.Second); len(c.readTok) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first caller never took the reader role")
+		}
+	}
+
+	waiter := make(chan Result, 1)
+	go func() {
+		res, err := c.Scan(make([]byte, 42))
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- res
+	}()
+	r := f.next(t)
+	fr := verdictFrame(r.id, len(r.payload), false)
+	write(t, conn, fr[:len(fr)/2])
+	<-nc.reads // the holder has the half frame in its buffer
+	cancel()
+	if err := <-holderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled holder err = %v, want context.Canceled", err)
+	}
+	write(t, conn, fr[len(fr)/2:])
+	if res := <-waiter; res.MEL != 42 {
+		t.Fatalf("waiting call got MEL %d, want its own 42", res.MEL)
+	}
+
+	// The abandoned call's late response is dropped; the stream stays
+	// in step for the next call.
+	write(t, conn, verdictFrame(abandoned.id, 999, false))
+	go func() {
+		res, err := c.Scan(make([]byte, 7))
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- res
+	}()
+	r = f.next(t)
+	write(t, conn, verdictFrame(r.id, len(r.payload), false))
+	if res := <-waiter; res.MEL != 7 {
+		t.Fatalf("next call got MEL %d, want its own 7", res.MEL)
+	}
+}
+
+// TestCloseLeavesNoGoroutine: Dial starts no goroutine, and after Close
+// fails a set of blocked calls the goroutine count returns to its value
+// before Dial.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	before := runtime.NumGoroutine()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("Dial left %d goroutines running", n-before)
+	}
+
+	const callers = 8
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Scan([]byte("blocked"))
+			errs <- err
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		if _, _, _, err := server.ReadFrame(srv, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked call err = %v, want ErrClosed", err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Dial, %d after Close", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -34,8 +34,9 @@ type PoolConfig struct {
 	// recalibrated while the pool runs (the verdict cache assumes a
 	// fixed calibration).
 	Detector *core.Detector
-	// Workers is the number of scan goroutines; <= 0 selects
-	// GOMAXPROCS.
+	// Workers is the number of scan goroutines, and the number of scans
+	// that may run at once, connection readers' inline scans included;
+	// <= 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the jobs waiting for a worker; <= 0 selects
 	// defaultQueueFactor * Workers. When the queue is full, Submit sheds
@@ -56,7 +57,8 @@ type PoolConfig struct {
 	// OnVerdict, when set, receives every successfully served verdict
 	// (cache hits included) after its trace is recorded — the hook the
 	// model-drift watcher observes MELs through. Called from worker
-	// goroutines; must be cheap and concurrency-safe.
+	// goroutines and from submitting goroutines (hits, inline misses);
+	// must be cheap and concurrency-safe.
 	OnVerdict func(core.Verdict)
 	// Content, when set, enables the content scan path: SubmitContent
 	// jobs run through this triage → decode → MEL pipeline instead of the
@@ -121,12 +123,17 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 // proxy's pooled mode. The cache is consulted at submission: a hit is
 // answered on the submitting goroutine and never queues or sheds. A
 // miss either queues, sheds (ErrOverloaded), or — after Close — fails
-// with ErrShuttingDown. Close drains queued work before returning.
+// with ErrShuttingDown; a connection reader may instead scan it itself
+// when the pool is idle (runOrSubmit). Close drains queued work before
+// returning.
 type Pool struct {
-	det       *core.Detector
-	pipe      *content.Pipeline
-	cache     *verdictCache
-	jobs      chan job
+	det   *core.Detector
+	pipe  *content.Pipeline
+	cache *verdictCache
+	jobs  chan job
+	// slots holds one token per scan running, on a worker or on a
+	// connection reader, so at most Workers scans run at once.
+	slots     chan struct{}
 	reg       *telemetry.Registry
 	m         poolMetrics
 	rec       *tracing.Recorder
@@ -160,6 +167,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		det:       cfg.Detector,
 		pipe:      cfg.Content,
 		jobs:      make(chan job, cfg.QueueDepth),
+		slots:     make(chan struct{}, cfg.Workers),
 		reg:       reg,
 		m:         newPoolMetrics(reg),
 		rec:       cfg.Recorder,
@@ -228,41 +236,95 @@ func (p *Pool) SubmitContentTraced(payload []byte, deadline time.Time, tr *traci
 }
 
 // submit is the shared non-blocking path behind every Submit variant.
-// The close flag is checked before the inline answer, so a closed pool
-// refuses even cached payloads, and checked again under the lock that
-// orders the enqueue before Close's channel close. done never runs
-// while that lock is held.
 //
 //mel:hotpath
 func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent bool, done func(v core.Verdict, cached bool, err error)) error {
-	if p.isClosed() {
-		p.rejectEvent(len(payload), tr, isContent, events.CauseShutdown)
-		return ErrShuttingDown
+	j := job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}
+	if answered, err := p.admit(&j); answered || err != nil {
+		return err
+	}
+	return p.enqueue(&j)
+}
+
+// runOrSubmit is the connection reader's entry point: submit with an
+// extra inline path. When idle is true — the reader has no further
+// request buffered — and the pool has a free scan slot and nobody
+// queued, a miss is scanned on the calling goroutine and done runs
+// before runOrSubmit returns, as it does for a cache hit. The slot is
+// released before done runs, so a done that blocks on a stalled peer
+// holds none. A nil trace gets the pool's automatic one.
+func (p *Pool) runOrSubmit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent, idle bool, done func(v core.Verdict, cached bool, err error)) error {
+	if isContent && p.pipe == nil {
+		return ErrContentDisabled
+	}
+	if tr == nil {
+		tr = p.autoTrace(len(payload))
 	}
 	j := job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}
-	if p.expired(&j, j.enqueued) {
-		return nil
+	if answered, err := p.admit(&j); answered || err != nil {
+		return err
 	}
-	if v, ok := p.lookup(&j); ok {
+	if idle && len(p.jobs) == 0 {
+		select {
+		case p.slots <- struct{}{}:
+			// Queue wait is timed, near zero, so an inline miss's trace
+			// has the same stages as a queued one's.
+			tr.StageStart(tracing.StageQueueWait)
+			tr.StageEnd(tracing.StageQueueWait)
+			v, err := p.scan(&j)
+			<-p.slots
+			j.done(v, false, err)
+			return nil
+		default:
+		}
+	}
+	return p.enqueue(&j)
+}
+
+// admit answers j on the calling goroutine when it can — an expired
+// deadline or a cache hit — and reports whether it did (done has then
+// run). The close flag is checked first, so a closed pool refuses even
+// cached payloads.
+//
+//mel:hotpath
+func (p *Pool) admit(j *job) (bool, error) {
+	if p.isClosed() {
+		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShutdown)
+		return false, ErrShuttingDown
+	}
+	if p.expired(j, j.enqueued) {
+		j.done(core.Verdict{}, false, ErrDeadlineExceeded)
+		return true, nil
+	}
+	if v, ok := p.lookup(j); ok {
 		j.done(v, true, nil)
-		return nil
+		return true, nil
 	}
+	return false, nil
+}
+
+// enqueue queues j for a worker, or sheds it when the queue is full.
+// The close flag is checked again under the lock that orders the
+// enqueue before Close's channel close.
+//
+//mel:hotpath
+func (p *Pool) enqueue(j *job) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		p.rejectEvent(len(payload), tr, isContent, events.CauseShutdown)
+		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShutdown)
 		return ErrShuttingDown
 	}
 	p.m.depth.Inc()
-	tr.StageStart(tracing.StageQueueWait)
+	j.tr.StageStart(tracing.StageQueueWait)
 	select {
-	case p.jobs <- j:
+	case p.jobs <- *j:
 		p.publishPressure()
 		return nil
 	default:
 		p.m.depth.Dec()
 		p.m.shed.Inc()
-		p.rejectEvent(len(payload), tr, isContent, events.CauseShed)
+		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShed)
 		return ErrOverloaded
 	}
 }
@@ -276,8 +338,9 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// expired fails j with ErrDeadlineExceeded when its deadline is
-// before now, reporting whether it did (done has then run).
+// expired reports whether j's deadline is before now, and if so counts,
+// traces and journals the expiry; the caller fails j with
+// ErrDeadlineExceeded.
 //
 //mel:hotpath
 func (p *Pool) expired(j *job, now time.Time) bool {
@@ -287,7 +350,6 @@ func (p *Pool) expired(j *job, now time.Time) bool {
 	p.m.deadline.Inc()
 	p.abort(j.tr, ErrDeadlineExceeded)
 	p.recordJobEvent(j, core.Verdict{}, false, events.CauseDeadline)
-	j.done(core.Verdict{}, false, ErrDeadlineExceeded)
 	return true
 }
 
@@ -531,31 +593,44 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// worker drains the job queue.
+// worker drains the job queue. It holds a scan slot while it serves a
+// job and releases it before done runs.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
 		p.m.depth.Dec()
 		p.publishPressure()
-		p.serve(j)
+		p.slots <- struct{}{}
+		v, cached, err := p.serve(&j)
+		<-p.slots
+		j.done(v, cached, err)
 	}
 }
 
-// serve executes one queued miss: deadline check, cache re-probe,
-// scan, cache fill, metrics. The re-probe reuses the key hashed at
-// submission, so identical payloads queued together are scanned once.
-// Each phase is timed onto the job's trace when tracing is on.
-func (p *Pool) serve(j job) {
-	tr := j.tr
-	tr.StageEnd(tracing.StageQueueWait)
-	if p.expired(&j, time.Now()) {
-		return
+// serve executes one queued miss: deadline check, cache re-probe, then
+// scan. The re-probe reuses the key hashed at submission, so identical
+// payloads queued together are scanned once. The caller delivers the
+// outcome to done.
+func (p *Pool) serve(j *job) (core.Verdict, bool, error) {
+	j.tr.StageEnd(tracing.StageQueueWait)
+	if p.expired(j, time.Now()) {
+		return core.Verdict{}, false, ErrDeadlineExceeded
 	}
 	if p.cache != nil {
 		if v, ok := p.cache.get(j.key); ok {
-			j.done(p.serveHit(&j, v), true, nil)
-			return
+			return p.serveHit(j, v), true, nil
 		}
+	}
+	v, err := p.scan(j)
+	return v, false, err
+}
+
+// scan runs one miss through the detector or the content pipeline,
+// fills the cache and records the outcome. Each phase is timed onto the
+// job's trace when tracing is on.
+func (p *Pool) scan(j *job) (core.Verdict, error) {
+	tr := j.tr
+	if p.cache != nil {
 		p.m.misses.Inc()
 	}
 	var v core.Verdict
@@ -569,9 +644,8 @@ func (p *Pool) serve(j job) {
 		p.m.errs.Inc()
 		wrapped := fmt.Errorf("%w: %v", ErrScanFailed, err)
 		p.abort(tr, wrapped)
-		p.recordJobEvent(&j, core.Verdict{}, false, events.CauseScanError)
-		j.done(core.Verdict{}, false, wrapped)
-		return
+		p.recordJobEvent(j, core.Verdict{}, false, events.CauseScanError)
+		return core.Verdict{}, wrapped
 	}
 	if p.cache != nil && !v.Shed {
 		// The cached copy must not leak this request's trace id into
@@ -581,8 +655,8 @@ func (p *Pool) serve(j job) {
 		cv.TraceID = tracing.TraceID{}
 		p.cache.put(j.key, cv)
 	}
-	p.finish(&j, v, false)
-	j.done(v, false, nil)
+	p.finish(j, v, false)
+	return v, nil
 }
 
 // abort completes and records a trace for a failed request.

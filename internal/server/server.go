@@ -84,8 +84,11 @@ type Config struct {
 }
 
 // Server is a running scan daemon: one shared worker pool, any number
-// of client connections, each with a reader and a writer goroutine so
-// a slow peer never stalls scanning for the others.
+// of client connections. Each connection's reader answers what it can
+// itself — refusals, cache hits, and misses that find the connection
+// and the pool idle — and a writer goroutine carries the responses of
+// the misses queued to the workers, so a slow peer never stalls
+// scanning for the others.
 type Server struct {
 	cfg  Config
 	pool *Pool
@@ -242,19 +245,21 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handleConn runs one connection: this goroutine reads frames and
-// submits jobs; a writer goroutine serializes the responses workers
-// produce. Workers hand completed verdicts to the writer through out;
-// dead tears the writer down after it drains whatever is already
-// queued. A request the pool answers inside Submit (a cache hit) is
-// written here, on the reader, straight to the shared buffered writer —
-// no hand-off to another goroutine.
+// handleConn runs one connection. This goroutine reads frames and
+// answers every request it can itself, writing the response straight
+// to the connection's buffered writer: refusals (too large, bad
+// request, content disabled, shutting down, shed), cache hits, and a
+// miss that arrives while the connection and the pool are idle, which
+// the pool scans right here (Pool.runOrSubmit). Any other miss is
+// queued to the workers, whose responses reach the connection through
+// out and the writer goroutine, batched into one flush; dead tears the
+// writer down after it drains whatever is already queued.
 //
-// Every frame read holds a slot of w.slots until its response leaves
-// out (or, written here, until it is written), so out never holds more
-// frames than it has room for and a worker handing over a response
-// never waits on a slow peer. With every slot taken the reader stops
-// reading, and the peer's unread requests back up in TCP.
+// Every submitted request holds a slot of w.slots until its response
+// leaves out (or, written here, until it is written), so out never
+// holds more frames than it has room for and a worker handing over a
+// response never waits on a slow peer. With every slot taken the reader
+// stops reading, and the peer's unread requests back up in TCP.
 func (s *Server) handleConn(conn net.Conn) {
 	out := make(chan []byte, connOutDepth)
 	dead := make(chan struct{})
@@ -272,7 +277,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		w.run(out, dead)
 	}()
 
-	// respond hands one encoded frame to the writer unless the
+	// respond hands a worker's encoded frame to the writer unless the
 	// connection died or the writer already exited on a write error —
 	// without the writerDone arm a worker could block forever on a
 	// full queue whose consumer is gone.
@@ -326,51 +331,19 @@ reading:
 			}
 			break
 		}
+		// A refused frame (an oversized body was consumed unread) is
+		// answered here with its typed error, and the connection kept.
+		payload, tr, isContent, code, msg := s.parseRequest(typ, payload, err)
+		if code != 0 {
+			if !w.sendError(id, code, msg) {
+				break
+			}
+			continue
+		}
 		select {
 		case w.slots <- struct{}{}:
 		case <-writerDone:
 			break reading
-		}
-		if err != nil {
-			// The oversized body was consumed; answer with the typed
-			// error and keep the connection.
-			respond(appendError(nil, id, CodeTooLarge,
-				fmt.Sprintf("payload exceeds maximum %d", s.cfg.MaxPayload)))
-			continue
-		}
-		if typ != MsgScan && typ != MsgScanTraced && typ != MsgScanContent && typ != MsgScanContentTraced {
-			s.badFrames.Inc()
-			respond(appendError(nil, id, CodeBadRequest, fmt.Sprintf("unknown request type 0x%02x", typ)))
-			continue
-		}
-		isContent := typ == MsgScanContent || typ == MsgScanContentTraced
-		if isContent && s.cfg.Content == nil {
-			s.badFrames.Inc()
-			respond(appendError(nil, id, CodeBadRequest, ErrContentDisabled.Error()))
-			continue
-		}
-		var tr *tracing.Trace
-		if typ == MsgScanTraced || typ == MsgScanContentTraced {
-			if len(payload) < traceIDLen {
-				s.badFrames.Inc()
-				respond(appendError(nil, id, CodeBadRequest, "traced scan shorter than trace id"))
-				continue
-			}
-			var tid tracing.TraceID
-			copy(tid[:], payload[:traceIDLen])
-			payload = payload[traceIDLen:]
-			// Adopt the client's id (a zero id gets a fresh one) so the
-			// flight-recorder entry and the client's view share identity.
-			tr = tracing.New(tid, len(payload))
-		}
-		if len(payload) > s.cfg.MaxPayload {
-			respond(appendError(nil, id, CodeTooLarge,
-				fmt.Sprintf("payload %d exceeds maximum %d", len(payload), s.cfg.MaxPayload)))
-			continue
-		}
-		if s.draining.Load() {
-			respond(appendError(nil, id, CodeShuttingDown, ErrShuttingDown.Error()))
-			continue
 		}
 		var deadline time.Time
 		if s.cfg.RequestTimeout > 0 {
@@ -378,10 +351,11 @@ reading:
 		}
 		reqWG.Add(1)
 		// rs decides who writes the response: whichever of done and the
-		// code after Submit moves it off reqPending first. done wins only
-		// when it ran before Submit returned — on this goroutine for a
-		// cache hit, or on a worker that beat the reader — and then
-		// leaves the outcome for the reader to write directly.
+		// code after runOrSubmit moves it off reqPending first. done wins
+		// only when it ran before runOrSubmit returned — on this
+		// goroutine for a cache hit or an inline miss, or on a worker
+		// that beat the reader — and then leaves the outcome for the
+		// reader to write directly.
 		rs := &reqState{id: id, content: isContent, tr: tr}
 		frame := buf
 		done := func(v core.Verdict, cached bool, scanErr error) {
@@ -401,30 +375,19 @@ reading:
 			}
 			reqWG.Done()
 		}
-		switch {
-		case isContent && tr != nil:
-			err = s.pool.SubmitContentTraced(payload, deadline, tr, done)
-		case isContent:
-			err = s.pool.SubmitContent(payload, deadline, done)
-		case tr != nil:
-			err = s.pool.SubmitTraced(payload, deadline, tr, done)
-		default:
-			err = s.pool.Submit(payload, deadline, done)
-		}
-		if err != nil {
-			reqWG.Done()
-			respond(appendError(nil, id, codeFor(err), err.Error()))
-			continue
-		}
-		if rs.state.CompareAndSwap(reqPending, reqQueued) {
+		err = s.pool.runOrSubmit(payload, deadline, tr, isContent, br.Buffered() == 0, done)
+		if err == nil && rs.state.CompareAndSwap(reqPending, reqQueued) {
 			// A worker owns payload now and will hand the response to
 			// the writer.
 			buf = nil
 			continue
 		}
-		// done has run, so nothing holds payload any more: buf is
-		// reused for the next frame.
+		// Refused, or done has run: nothing holds payload any more, and
+		// buf is reused for the next frame.
 		reqWG.Done()
+		if err != nil {
+			rs.err = err // done never runs for a refused request
+		}
 		ok := w.send(rs)
 		<-w.slots
 		if !ok {
@@ -432,7 +395,7 @@ reading:
 		}
 	}
 
-	// Drain: wait for this connection's in-flight scans so their
+	// Drain: wait for this connection's queued scans so their
 	// responses reach out, let the writer flush them, then tear down.
 	reqWG.Wait()
 	close(dead)
@@ -440,8 +403,48 @@ reading:
 	conn.Close()
 }
 
-// Request states in reqState: pending until either Submit returns with
-// the job queued (reqQueued) or done runs first (reqInline).
+// parseRequest checks one frame read from a connection and returns the
+// scan it asks for: the payload with a traced frame's trace id
+// stripped, the trace that adopts that id, and whether the content
+// pipeline is asked for. A refused frame returns the code and message
+// of its error response (code 0 otherwise); readErr is the frame read's
+// errFrameTooLarge, if any.
+func (s *Server) parseRequest(typ byte, payload []byte, readErr error) (body []byte, tr *tracing.Trace, isContent bool, code byte, msg string) {
+	if readErr != nil {
+		return nil, nil, false, CodeTooLarge, fmt.Sprintf("payload exceeds maximum %d", s.cfg.MaxPayload)
+	}
+	if typ != MsgScan && typ != MsgScanTraced && typ != MsgScanContent && typ != MsgScanContentTraced {
+		s.badFrames.Inc()
+		return nil, nil, false, CodeBadRequest, fmt.Sprintf("unknown request type 0x%02x", typ)
+	}
+	isContent = typ == MsgScanContent || typ == MsgScanContentTraced
+	if isContent && s.cfg.Content == nil {
+		s.badFrames.Inc()
+		return nil, nil, false, CodeBadRequest, ErrContentDisabled.Error()
+	}
+	if typ == MsgScanTraced || typ == MsgScanContentTraced {
+		if len(payload) < traceIDLen {
+			s.badFrames.Inc()
+			return nil, nil, false, CodeBadRequest, "traced scan shorter than trace id"
+		}
+		var tid tracing.TraceID
+		copy(tid[:], payload[:traceIDLen])
+		payload = payload[traceIDLen:]
+		// Adopt the client's id (a zero id gets a fresh one) so the
+		// flight-recorder entry and the client's view share identity.
+		tr = tracing.New(tid, len(payload))
+	}
+	if len(payload) > s.cfg.MaxPayload {
+		return nil, nil, false, CodeTooLarge, fmt.Sprintf("payload %d exceeds maximum %d", len(payload), s.cfg.MaxPayload)
+	}
+	if s.draining.Load() {
+		return nil, nil, false, CodeShuttingDown, ErrShuttingDown.Error()
+	}
+	return payload, tr, isContent, 0, ""
+}
+
+// Request states in reqState: pending until either runOrSubmit returns
+// with the job queued (reqQueued) or done runs first (reqInline).
 const (
 	reqPending int32 = iota
 	reqQueued
@@ -479,11 +482,12 @@ func (r *reqState) appendResponse(dst []byte) []byte {
 	}
 }
 
-// connOut is a connection's buffered write side. The writer goroutine
-// and the reader (for responses produced inline) share it; mu
-// serializes their writes and flushes. slots holds one token per
-// request in flight on the connection (see handleConn); the writer
-// returns a frame's token as it takes the frame off the queue.
+// connOut is a connection's buffered write side. The reader writes the
+// responses it produces itself; the writer goroutine writes only those
+// workers produced for queued requests. mu serializes their writes and
+// flushes. slots holds one token per submitted request in flight on the
+// connection (see handleConn); the writer returns a frame's token as it
+// takes the frame off the queue.
 type connOut struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -519,9 +523,17 @@ func (w *connOut) send(r *reqState) bool {
 	return w.write(r.appendResponse(w.bw.AvailableBuffer())) && w.bw.Flush() == nil
 }
 
-// run is the writer goroutine. It batches whatever responses are
-// pending into one buffered flush. On dead it drains the queue,
-// flushes, and exits; a write error ends it at once.
+// sendError is send for an error response the reader produced.
+func (w *connOut) sendError(id uint64, code byte, msg string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.write(appendError(w.bw.AvailableBuffer(), id, code, msg)) && w.bw.Flush() == nil
+}
+
+// run is the writer goroutine, which carries the responses of queued
+// requests. It batches whatever responses are pending into one buffered
+// flush. On dead it drains the queue, flushes, and exits; a write error
+// ends it at once.
 func (w *connOut) run(out <-chan []byte, dead <-chan struct{}) {
 	for {
 		select {
