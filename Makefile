@@ -5,8 +5,13 @@ GOFMT ?= gofmt
 
 all: build vet test
 
+# perfbench is its own module (the benchmark harness, built against
+# this tree through a replace directive), so the root build never
+# compiles it; build and vet it here so a server or client API change
+# that breaks the harness fails the build. The binary is discarded.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...
@@ -65,7 +70,8 @@ test:
 # client's response reader (arbitrary response streams against pending
 # calls), the content decoder (whose fuzz target checks Views against the reference
 # peelers), the scan core (fused and traced scans, stream windows
-# and ScanReference against each other) and the x86 spec decoder that
+# and ScanReference against each other), the detector (verdict fields
+# consistent on any payload) and the x86 spec decoder that
 # serves every offset the scan core's tables leave unresolved, and the
 # bench guard, which
 # fails the gate outright if the engine regressed against the committed
@@ -76,6 +82,7 @@ ci: build vet lint verify
 	$(GO) test -run NONE -fuzz FuzzClientFrames -fuzztime 10s ./internal/server/client/
 	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
 	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s ./internal/mel/
+	$(GO) test -run NONE -fuzz FuzzScan -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/x86/
 	$(MAKE) bench-guard
 

@@ -39,7 +39,7 @@ import (
 // the contract is about what the compiler can see. This turns the
 // engine bench's "0 allocs/op" (E19, engine_scan_benign_4k) from a
 // benchmark observation into a statically checked property of
-// Engine.Scan, DecodeInto, Pool.Submit, the verdict cache, and the
+// Engine.Scan, DecodeInto, Pool.admit, the verdict cache, and the
 // tracing span methods.
 func AllocFreeAnalyzer() *Analyzer {
 	return &Analyzer{

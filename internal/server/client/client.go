@@ -263,17 +263,12 @@ func (c *Client) scan(ctx context.Context, payload []byte, traced, viaContent bo
 	}
 	// The frame is built in the write buffer's free space; one larger
 	// than that space is written straight through.
-	frame := c.bw.AvailableBuffer()
-	switch {
-	case viaContent && traced:
-		frame = server.AppendScanContentTracedRequest(frame, id, tracing.NewID(), payload)
-	case viaContent:
-		frame = server.AppendScanContentRequest(frame, id, payload)
-	case traced:
-		frame = server.AppendScanTracedRequest(frame, id, tracing.NewID(), payload)
-	default:
-		frame = server.AppendScanRequest(frame, id, payload)
+	var tid *tracing.TraceID
+	if traced {
+		t := tracing.NewID()
+		tid = &t
 	}
+	frame := server.AppendRequest(c.bw.AvailableBuffer(), id, viaContent, tid, payload)
 	start := time.Now()
 	_, werr := c.bw.Write(frame)
 	if werr == nil {
@@ -437,44 +432,24 @@ func (c *Client) fail(err error) {
 // elapsed is the client-observed round trip, used to attribute traced
 // responses.
 func decodeResponse(resp response, elapsed time.Duration) (Result, error) {
-	switch resp.typ {
-	case server.MsgVerdict:
-		v, cached, err := server.DecodeVerdict(resp.payload)
-		if err != nil {
-			return Result{}, err
-		}
-		return fromVerdict(v, cached), nil
-	case server.MsgVerdictContent:
-		v, cached, err := server.DecodeVerdictContent(resp.payload)
-		if err != nil {
-			return Result{}, err
-		}
-		return fromVerdict(v, cached), nil
-	case server.MsgVerdictTraced:
-		v, cached, wt, err := server.DecodeVerdictTraced(resp.payload)
-		if err != nil {
-			return Result{}, err
-		}
-		res := fromVerdict(v, cached)
-		res.Trace = traceFor(wt, elapsed)
-		return res, nil
-	case server.MsgVerdictContentTraced:
-		v, cached, wt, err := server.DecodeVerdictContentTraced(resp.payload)
-		if err != nil {
-			return Result{}, err
-		}
-		res := fromVerdict(v, cached)
-		res.Trace = traceFor(wt, elapsed)
-		return res, nil
-	case server.MsgError:
+	if resp.typ == server.MsgError {
 		code, msg, err := server.DecodeError(resp.payload)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{}, server.ErrorForCode(code, msg)
-	default:
-		return Result{}, fmt.Errorf("client: unexpected response type 0x%02x", resp.typ)
 	}
+	v, cached, wt, err := server.DecodeVerdictOf(resp.typ, resp.payload)
+	if err != nil {
+		return Result{}, err
+	}
+	res := fromVerdict(v, cached)
+	if !v.TraceID.IsZero() {
+		// Only a traced verdict carries an id: the server adopts the
+		// request's, or opens a fresh one for a zero id.
+		res.Trace = traceFor(wt, elapsed)
+	}
+	return res, nil
 }
 
 // traceFor attributes a traced response's client-observed latency.

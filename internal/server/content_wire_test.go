@@ -31,7 +31,7 @@ func TestVerdictContentRoundTrip(t *testing.T) {
 		{MEL: 12, Threshold: 43.7, TriageScore: 0.55},
 	} {
 		var buf bytes.Buffer
-		buf.Write(appendVerdictContent(nil, 11, want, false))
+		buf.Write(appendVerdict(nil, 11, want, false, true, nil))
 		typ, id, payload, err := ReadFrame(&buf, 1<<20)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestVerdictContentTracedRoundTrip(t *testing.T) {
 	tr.Finish()
 
 	var buf bytes.Buffer
-	buf.Write(appendVerdictContentTraced(nil, 12, want, true, tr))
+	buf.Write(appendVerdict(nil, 12, want, true, true, tr))
 	typ, _, payload, err := ReadFrame(&buf, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestVerdictContentTracedRoundTrip(t *testing.T) {
 	if typ != MsgVerdictContentTraced {
 		t.Fatalf("frame type = 0x%02x", typ)
 	}
-	got, cached, wt, err := DecodeVerdictContentTraced(payload)
+	got, cached, wt, err := DecodeVerdictOf(typ, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestVerdictContentTracedRoundTrip(t *testing.T) {
 // the content extension are rejected, not silently accepted.
 func TestVerdictContentRejectsMalformed(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write(appendVerdictContent(nil, 13, contentVerdict(), false))
+	buf.Write(appendVerdict(nil, 13, contentVerdict(), false, true, nil))
 	_, _, payload, err := ReadFrame(&buf, 1<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestHealthOverloaded(t *testing.T) {
 	// Stall the single worker, then fill the one queue slot.
 	release := make(chan struct{})
 	block := benignPayloads(t, 7, 1)[0]
-	if err := srv.Pool().Submit(block, time.Time{}, func(core.Verdict, bool, error) {
+	if err := submit(srv.Pool(), block, time.Time{}, func(core.Verdict, bool, error) {
 		<-release
 	}); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestHealthOverloaded(t *testing.T) {
 	defer close(release)
 	deadlineWait := time.After(2 * time.Second)
 	for {
-		if err := srv.Pool().Submit(block, time.Time{}, func(core.Verdict, bool, error) {}); err != nil {
+		if err := submit(srv.Pool(), block, time.Time{}, func(core.Verdict, bool, error) {}); err != nil {
 			break // queue full: pool shed — now overloaded
 		}
 		select {
@@ -100,7 +100,7 @@ func TestPoolJournalsOutcomes(t *testing.T) {
 
 	// A served verdict.
 	done := make(chan struct{})
-	if err := pool.Submit(payload, time.Time{}, func(core.Verdict, bool, error) { close(done) }); err != nil {
+	if err := submit(pool, payload, time.Time{}, func(core.Verdict, bool, error) { close(done) }); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -108,7 +108,7 @@ func TestPoolJournalsOutcomes(t *testing.T) {
 	// A shed: stall the worker, fill the queue, then overflow it.
 	release := make(chan struct{})
 	stalled := make(chan struct{})
-	if err := pool.Submit(payload, time.Time{}, func(core.Verdict, bool, error) {
+	if err := submit(pool, payload, time.Time{}, func(core.Verdict, bool, error) {
 		close(stalled)
 		<-release
 	}); err != nil {
@@ -118,7 +118,7 @@ func TestPoolJournalsOutcomes(t *testing.T) {
 	shedSeen := false
 	deadlineWait := time.After(2 * time.Second)
 	for !shedSeen {
-		if err := pool.Submit(payload, time.Time{}, func(core.Verdict, bool, error) {}); err != nil {
+		if err := submit(pool, payload, time.Time{}, func(core.Verdict, bool, error) {}); err != nil {
 			shedSeen = true
 		}
 		select {

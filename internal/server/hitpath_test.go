@@ -43,7 +43,7 @@ func scanOnce(t *testing.T, pool *Pool, p []byte) core.Verdict {
 		err error
 	}
 	ch := make(chan res, 1)
-	if err := pool.Submit(p, time.Time{}, func(v core.Verdict, _ bool, err error) { ch <- res{v, err} }); err != nil {
+	if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(v core.Verdict, _ bool, err error) { ch <- res{v, err} }); err != nil {
 		t.Fatal(err)
 	}
 	r := <-ch
@@ -61,7 +61,7 @@ func pinWorker(t *testing.T, pool *Pool, p []byte) (release, done chan struct{})
 	in := make(chan struct{})
 	release = make(chan struct{})
 	done = make(chan struct{})
-	if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) {
+	if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(core.Verdict, bool, error) {
 		close(in)
 		<-release
 		close(done)
@@ -82,7 +82,7 @@ func newTestDetector(t *testing.T) *core.Detector {
 }
 
 // TestPoolHitCompletesInline: a cached payload's done runs on the
-// submitting goroutine, before Submit returns. The flags are plain
+// submitting goroutine, before runOrSubmit returns. The flags are plain
 // variables on purpose: had done run on a worker, the race detector
 // would flag the unsynchronized read below.
 func TestPoolHitCompletesInline(t *testing.T) {
@@ -97,13 +97,13 @@ func TestPoolHitCompletesInline(t *testing.T) {
 	var ran, cached bool
 	var got core.Verdict
 	var gotErr error
-	if err := pool.Submit(p, time.Time{}, func(v core.Verdict, c bool, err error) {
+	if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(v core.Verdict, c bool, err error) {
 		ran, cached, got, gotErr = true, c, v, err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Fatal("cache hit's done had not run when Submit returned")
+		t.Fatal("cache hit's done had not run when runOrSubmit returned")
 	}
 	if gotErr != nil || !cached || got.MEL != want.MEL || got.Threshold != want.Threshold {
 		t.Fatalf("inline hit = (%+v, cached=%v, %v), want cached %+v", got, cached, gotErr, want)
@@ -112,7 +112,7 @@ func TestPoolHitCompletesInline(t *testing.T) {
 
 // TestPoolHitServedWhileSaturated: with the lone worker pinned and the
 // queue full, a miss sheds but a hit is still answered at once —
-// through Submit, SubmitTraced and the blocking Do — and a hit's trace
+// through runOrSubmit, with and without an explicit trace, and the blocking Do — and a hit's trace
 // has a cache stage but no queue wait.
 func TestPoolHitServedWhileSaturated(t *testing.T) {
 	rec := tracing.NewRecorder(tracing.RecorderConfig{Recent: 16})
@@ -127,17 +127,17 @@ func TestPoolHitServedWhileSaturated(t *testing.T) {
 
 	release, pinnedDone := pinWorker(t, pool, pin)
 	queuedDone := make(chan struct{})
-	if err := pool.Submit(queued, time.Time{}, func(core.Verdict, bool, error) { close(queuedDone) }); err != nil {
+	if err := pool.runOrSubmit(queued, time.Time{}, nil, false, false, func(core.Verdict, bool, error) { close(queuedDone) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Submit(shed, time.Time{}, func(core.Verdict, bool, error) {
+	if err := pool.runOrSubmit(shed, time.Time{}, nil, false, false, func(core.Verdict, bool, error) {
 		t.Error("shed job must never run")
 	}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("miss into full queue = %v, want ErrOverloaded", err)
 	}
 
 	hits := 0
-	if err := pool.Submit(hot, time.Time{}, func(v core.Verdict, cached bool, err error) {
+	if err := pool.runOrSubmit(hot, time.Time{}, nil, false, false, func(v core.Verdict, cached bool, err error) {
 		if err != nil || !cached || v.MEL != want.MEL {
 			t.Errorf("hit under saturation = (%+v, cached=%v, %v)", v, cached, err)
 		}
@@ -146,7 +146,7 @@ func TestPoolHitServedWhileSaturated(t *testing.T) {
 		t.Fatalf("hit under saturation shed: %v", err)
 	}
 	tr := tracing.New(tracing.TraceID{}, len(hot))
-	if err := pool.SubmitTraced(hot, time.Time{}, tr, func(v core.Verdict, cached bool, err error) {
+	if err := pool.runOrSubmit(hot, time.Time{}, tr, false, false, func(v core.Verdict, cached bool, err error) {
 		if err != nil || !cached || v.TraceID != tr.ID {
 			t.Errorf("traced hit = (%+v, cached=%v, %v)", v, cached, err)
 		}
@@ -160,7 +160,7 @@ func TestPoolHitServedWhileSaturated(t *testing.T) {
 		t.Fatalf("Do hit under saturation = (%+v, cached=%v, %v)", v, cached, err)
 	}
 	if hits != 2 {
-		t.Fatalf("%d of 2 hits answered before Submit returned", hits)
+		t.Fatalf("%d of 2 hits answered before runOrSubmit returned", hits)
 	}
 	if !tr.Cached || tr.StageDur(tracing.StageQueueWait) >= 0 || tr.StageDur(tracing.StageCache) < 0 || tr.Total() <= 0 {
 		t.Fatalf("hit trace: cached=%v queue_wait=%v cache=%v total=%v, want cached, no queue wait, a cache stage, finished",
@@ -198,7 +198,7 @@ func TestPoolCountsEachRequestOnce(t *testing.T) {
 	var cachedDup atomic.Int32
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		if err := pool.Submit(dup, time.Time{}, func(_ core.Verdict, cached bool, err error) {
+		if err := pool.runOrSubmit(dup, time.Time{}, nil, false, false, func(_ core.Verdict, cached bool, err error) {
 			defer wg.Done()
 			if err != nil {
 				t.Error(err)
@@ -212,11 +212,11 @@ func TestPoolCountsEachRequestOnce(t *testing.T) {
 	}
 	// An already-expired request fails at once, without a queue slot.
 	var expiredErr error
-	if err := pool.Submit(a, time.Now().Add(-time.Second), func(_ core.Verdict, _ bool, err error) { expiredErr = err }); err != nil {
+	if err := pool.runOrSubmit(a, time.Now().Add(-time.Second), nil, false, false, func(_ core.Verdict, _ bool, err error) { expiredErr = err }); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(expiredErr, ErrDeadlineExceeded) {
-		t.Fatalf("expired request = %v, want ErrDeadlineExceeded before Submit returned", expiredErr)
+		t.Fatalf("expired request = %v, want ErrDeadlineExceeded before runOrSubmit returned", expiredErr)
 	}
 	close(release)
 	<-pinnedDone
@@ -271,7 +271,10 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	const queue = 20
-	pool, err := NewPool(PoolConfig{Detector: det, Workers: 1, QueueDepth: queue, CacheSize: 64, Content: pipe})
+	// The journal keeps one benign event in a thousand: only a
+	// verdict's own interest (Shed) can keep it.
+	j := events.New(events.Config{Capacity: 64, Shards: 1, SampleEvery: 1000})
+	pool, err := NewPool(PoolConfig{Detector: det, Workers: 1, QueueDepth: queue, CacheSize: 64, Content: pipe, Events: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +296,7 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 		err    error
 	}
 	first := make(chan result, 1)
-	if err := pool.SubmitContent(wrapped, time.Time{}, func(v core.Verdict, cached bool, err error) {
+	if err := pool.runOrSubmit(wrapped, time.Time{}, nil, true, false, func(v core.Verdict, cached bool, err error) {
 		first <- result{v, cached, err}
 	}); err != nil {
 		t.Fatal(err)
@@ -301,7 +304,7 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 	var fillers sync.WaitGroup
 	for _, p := range ps[1:] {
 		fillers.Add(1)
-		if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) { fillers.Done() }); err != nil {
+		if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(core.Verdict, bool, error) { fillers.Done() }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,6 +315,18 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 		t.Fatalf("worm under load = (%+v, cached=%v, %v), want a fresh benign verdict marked Shed", r.v, r.cached, r.err)
 	}
 	fillers.Wait()
+	var shedKept int
+	for _, e := range j.Snapshot(0) {
+		if e.Shed {
+			shedKept++
+			if !e.Content || e.Malicious || e.Cause != events.CauseOK {
+				t.Fatalf("shed verdict journaled as %+v, want a benign content verdict", e)
+			}
+		}
+	}
+	if shedKept != 1 {
+		t.Fatalf("journal kept %d shed verdicts, want 1", shedKept)
+	}
 
 	v, cached, err := pool.DoContent(context.Background(), wrapped)
 	if err != nil || cached || !v.Malicious || v.Shed || v.DecodeChain != "gzip" {

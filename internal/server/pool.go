@@ -39,8 +39,9 @@ type PoolConfig struct {
 	// <= 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the jobs waiting for a worker; <= 0 selects
-	// defaultQueueFactor * Workers. When the queue is full, Submit sheds
-	// with ErrOverloaded instead of blocking.
+	// defaultQueueFactor * Workers. When the queue is full, a
+	// connection's request is shed with ErrOverloaded instead of
+	// blocking; Do waits for room.
 	QueueDepth int
 	// CacheSize is the verdict LRU capacity: 0 selects
 	// DefaultCacheSize, negative disables caching.
@@ -49,7 +50,7 @@ type PoolConfig struct {
 	// a private registry (exposed via Metrics()).
 	Metrics *telemetry.Registry
 	// Recorder, when set, turns on per-scan tracing: every submission
-	// gets a Trace (unless the caller supplied one via SubmitTraced),
+	// gets a Trace (unless a traced request supplied its own),
 	// queue wait / cache / threshold / decode / DP become timed stages,
 	// completed traces land in the recorder, and the latency histogram
 	// gains trace-id exemplars.
@@ -60,8 +61,8 @@ type PoolConfig struct {
 	// goroutines and from submitting goroutines (hits, inline misses);
 	// must be cheap and concurrency-safe.
 	OnVerdict func(core.Verdict)
-	// Content, when set, enables the content scan path: SubmitContent
-	// jobs run through this triage → decode → MEL pipeline instead of the
+	// Content, when set, enables the content scan path: content scans
+	// run through this triage → decode → MEL pipeline instead of the
 	// bare detector, and the pool publishes its queue occupancy as the
 	// pipeline's load-pressure signal so decode depth sheds before any
 	// scan is dropped. The pipeline should be built around the same
@@ -120,12 +121,15 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 
 // Pool is a bounded scan worker pool with an optional verdict cache.
 // It is the shared execution engine behind the TCP server and the
-// proxy's pooled mode. The cache is consulted at submission: a hit is
-// answered on the submitting goroutine and never queues or sheds. A
-// miss either queues, sheds (ErrOverloaded), or — after Close — fails
-// with ErrShuttingDown; a connection reader may instead scan it itself
-// when the pool is idle (runOrSubmit). Close drains queued work before
-// returning.
+// proxy's pooled mode. Every request — a connection's (runOrSubmit) or
+// an in-process caller's (Do) — passes one admission path (admit),
+// which refuses it after Close with ErrShuttingDown, fails an expired
+// deadline, and consults the cache: a hit is answered on the submitting
+// goroutine and never queues or sheds. A miss is queued (enqueue); when
+// the queue is full a connection's request is shed with ErrOverloaded
+// and Do waits for room until its context ends. A connection reader may
+// instead scan a miss itself when the pool is idle. Every outcome is
+// journaled once. Close drains queued work before returning.
 type Pool struct {
 	det   *core.Detector
 	pipe  *content.Pipeline
@@ -140,7 +144,7 @@ type Pool struct {
 	journal   *events.Journal
 	onVerdict func(core.Verdict)
 
-	// mu serializes Submit's channel send against Close's channel
+	// mu serializes enqueue's channel send against Close's channel
 	// close: senders hold the read lock, so Close (write lock) cannot
 	// close the channel mid-send.
 	mu     sync.RWMutex
@@ -190,73 +194,23 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // Metrics returns the registry the pool reports into.
 func (p *Pool) Metrics() *telemetry.Registry { return p.reg }
 
-// Submit runs a scan without blocking. A request that can be answered
-// at once — a verdict-cache hit, or a deadline that has already passed
-// — completes on the calling goroutine: done runs synchronously,
-// before Submit returns. Otherwise the scan is queued for a worker, and
-// done runs later on the worker's goroutine. Either way, on nil error
-// done is called exactly once, with the verdict or a typed error. A
-// full queue sheds the request with ErrOverloaded and a closed pool
-// rejects it with ErrShuttingDown; done is then never called. A
+// runOrSubmit is the connection reader's entry point. A request that
+// can be answered at once — a refusal, a verdict-cache hit, or a
+// deadline that has already passed — completes on the calling
+// goroutine. When idle is true — the reader has no further request
+// buffered — and the pool has a free scan slot and nobody queued, a
+// miss is scanned on the calling goroutine too; done then runs before
+// runOrSubmit returns, and the slot is released before done runs, so a
+// done that blocks on a stalled peer holds none. Any other miss is
+// queued for a worker, and done runs later on the worker's goroutine.
+// On nil error done is called exactly once, with the verdict or a typed
+// error. A full queue sheds the request with ErrOverloaded and a closed
+// pool rejects it with ErrShuttingDown; done is then never called. A
 // non-zero deadline expires queued requests with ErrDeadlineExceeded.
-// The pool does not read payload after done returns, on any path, so
-// done may hand payload's memory on for reuse.
-//
-//mel:hotpath
-func (p *Pool) Submit(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {
-	return p.submit(payload, deadline, p.autoTrace(len(payload)), false, done)
-}
-
-// SubmitTraced is Submit with an explicit trace (e.g. one carrying a
-// client-chosen id). A nil trace disables tracing for this request
-// even when the pool has a recorder.
-//
-//mel:hotpath
-func (p *Pool) SubmitTraced(payload []byte, deadline time.Time, tr *tracing.Trace, done func(v core.Verdict, cached bool, err error)) error {
-	return p.submit(payload, deadline, tr, false, done)
-}
-
-// SubmitContent is Submit routed through the content pipeline (triage
-// → decode → MEL). Fails with ErrContentDisabled when the pool was
-// built without one.
-//
-//mel:hotpath
-func (p *Pool) SubmitContent(payload []byte, deadline time.Time, done func(v core.Verdict, cached bool, err error)) error {
-	return p.SubmitContentTraced(payload, deadline, p.autoTrace(len(payload)), done)
-}
-
-// SubmitContentTraced is SubmitContent with an explicit trace.
-//
-//mel:hotpath
-func (p *Pool) SubmitContentTraced(payload []byte, deadline time.Time, tr *tracing.Trace, done func(v core.Verdict, cached bool, err error)) error {
-	if p.pipe == nil {
-		return ErrContentDisabled
-	}
-	return p.submit(payload, deadline, tr, true, done)
-}
-
-// submit is the shared non-blocking path behind every Submit variant.
-//
-//mel:hotpath
-func (p *Pool) submit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent bool, done func(v core.Verdict, cached bool, err error)) error {
-	j := job{payload: payload, enqueued: time.Now(), deadline: deadline, tr: tr, content: isContent, done: done}
-	if answered, err := p.admit(&j); answered || err != nil {
-		return err
-	}
-	return p.enqueue(&j)
-}
-
-// runOrSubmit is the connection reader's entry point: submit with an
-// extra inline path. When idle is true — the reader has no further
-// request buffered — and the pool has a free scan slot and nobody
-// queued, a miss is scanned on the calling goroutine and done runs
-// before runOrSubmit returns, as it does for a cache hit. The slot is
-// released before done runs, so a done that blocks on a stalled peer
-// holds none. A nil trace gets the pool's automatic one.
+// A nil trace gets the pool's automatic one. The pool does not read
+// payload after done returns, on any path, so done may hand payload's
+// memory on for reuse.
 func (p *Pool) runOrSubmit(payload []byte, deadline time.Time, tr *tracing.Trace, isContent, idle bool, done func(v core.Verdict, cached bool, err error)) error {
-	if isContent && p.pipe == nil {
-		return ErrContentDisabled
-	}
 	if tr == nil {
 		tr = p.autoTrace(len(payload))
 	}
@@ -278,18 +232,22 @@ func (p *Pool) runOrSubmit(payload []byte, deadline time.Time, tr *tracing.Trace
 		default:
 		}
 	}
-	return p.enqueue(&j)
+	return p.enqueue(nil, &j)
 }
 
-// admit answers j on the calling goroutine when it can — an expired
-// deadline or a cache hit — and reports whether it did (done has then
-// run). The close flag is checked first, so a closed pool refuses even
-// cached payloads.
+// admit is the one admission path, shared by runOrSubmit and Do. It
+// refuses j — content scans on a pool without a pipeline, and anything
+// once the pool is closed, cached payloads included — or answers it on
+// the calling goroutine when it can, for an expired deadline or a cache
+// hit, and reports whether it did (done has then run).
 //
 //mel:hotpath
 func (p *Pool) admit(j *job) (bool, error) {
+	if j.content && p.pipe == nil {
+		return false, ErrContentDisabled
+	}
 	if p.isClosed() {
-		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShutdown)
+		p.fail(j, ErrShuttingDown, events.CauseShutdown)
 		return false, ErrShuttingDown
 	}
 	if p.expired(j, j.enqueued) {
@@ -303,29 +261,47 @@ func (p *Pool) admit(j *job) (bool, error) {
 	return false, nil
 }
 
-// enqueue queues j for a worker, or sheds it when the queue is full.
-// The close flag is checked again under the lock that orders the
-// enqueue before Close's channel close.
+// enqueue queues j for a worker. With a nil ctx a full queue sheds j
+// with ErrOverloaded; otherwise enqueue waits for room until ctx ends,
+// and fails j with ctx's error. The close flag is checked again under
+// the lock that orders the enqueue before Close's channel close.
 //
 //mel:hotpath
-func (p *Pool) enqueue(j *job) error {
+func (p *Pool) enqueue(ctx context.Context, j *job) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShutdown)
+		p.fail(j, ErrShuttingDown, events.CauseShutdown)
 		return ErrShuttingDown
 	}
 	p.m.depth.Inc()
 	j.tr.StageStart(tracing.StageQueueWait)
+	if ctx == nil {
+		select {
+		case p.jobs <- *j:
+			p.publishPressure()
+			return nil
+		default:
+			p.m.depth.Dec()
+			p.m.shed.Inc()
+			p.fail(j, ErrOverloaded, events.CauseShed)
+			return ErrOverloaded
+		}
+	}
 	select {
 	case p.jobs <- *j:
 		p.publishPressure()
 		return nil
-	default:
+	case <-ctx.Done():
 		p.m.depth.Dec()
-		p.m.shed.Inc()
-		p.rejectEvent(len(j.payload), j.tr, j.content, events.CauseShed)
-		return ErrOverloaded
+		err := ctx.Err()
+		cause := events.CauseOther
+		if errors.Is(err, context.DeadlineExceeded) {
+			p.m.deadline.Inc()
+			cause = events.CauseDeadline
+		}
+		p.fail(j, err, cause)
+		return err
 	}
 }
 
@@ -348,8 +324,7 @@ func (p *Pool) expired(j *job, now time.Time) bool {
 		return false
 	}
 	p.m.deadline.Inc()
-	p.abort(j.tr, ErrDeadlineExceeded)
-	p.recordJobEvent(j, core.Verdict{}, false, events.CauseDeadline)
+	p.fail(j, ErrDeadlineExceeded, events.CauseDeadline)
 	return true
 }
 
@@ -392,33 +367,8 @@ func (p *Pool) serveHit(j *job, v core.Verdict) core.Verdict {
 	return v
 }
 
-// rejectEvent journals a submission that never reached a worker (shed
-// or shutdown). It runs on the submit hot path: the event is built on
-// the stack and handed to the journal's allocation-free record path.
-//
-//mel:hotpath
-func (p *Pool) rejectEvent(n int, tr *tracing.Trace, isContent bool, cause events.Cause) {
-	if p.journal == nil {
-		return
-	}
-	e := events.Event{
-		StartUnixNs: time.Now().UnixNano(),
-		Bytes:       n,
-		ViewIndex:   -1,
-		Content:     isContent,
-		Cause:       cause,
-	}
-	if tr != nil {
-		e.TraceID = tr.ID
-	}
-	for i := range e.Stages {
-		e.Stages[i] = -1
-	}
-	p.journal.Record(&e)
-}
-
-// jobEvent builds the wide event for a job that was served or failed,
-// preferring the trace's bookkeeping when tracing is on.
+// jobEvent builds the wide event for a job that was served, failed or
+// refused, preferring the trace's bookkeeping when tracing is on.
 //
 //mel:hotpath
 func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause) events.Event {
@@ -426,6 +376,7 @@ func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause)
 		StartUnixNs: j.enqueued.UnixNano(),
 		Total:       time.Since(j.enqueued),
 		Bytes:       len(j.payload),
+		Content:     j.content,
 		ViewIndex:   -1,
 		Cause:       cause,
 	}
@@ -448,19 +399,19 @@ func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause)
 		e.Malicious = v.Malicious
 		e.Cached = cached
 		if j.content {
-			e.Content = true
 			e.ViewIndex = v.ViewIndex
 			e.DecodeChain = v.DecodeChain
 			e.TriageScore = v.TriageScore
 			e.TriageCleared = v.TriageCleared
+			e.Shed = v.Shed
 		}
-	} else {
-		e.Content = j.content
 	}
 	return e
 }
 
-// recordJobEvent journals a served or failed job; nil journal no-ops.
+// recordJobEvent journals a job's outcome; nil journal no-ops. The
+// event is built on the stack and handed to the journal's
+// allocation-free record path.
 //
 //mel:hotpath
 func (p *Pool) recordJobEvent(j *job, v core.Verdict, cached bool, cause events.Cause) {
@@ -494,11 +445,12 @@ func (p *Pool) autoTrace(n int) *tracing.Trace {
 	return tracing.New(tracing.TraceID{}, n)
 }
 
-// Do runs one scan through the pool and waits for the result. Unlike
-// Submit it blocks for a queue slot (honouring ctx), which is the
-// right behaviour for in-process callers like the proxy that own their
-// own flow control. A cache hit returns at once without queueing. The
-// bool reports whether the verdict came from the cache.
+// Do runs one scan through the pool and waits for the result. It is
+// admitted like a connection's request, but waits for a queue slot
+// (honouring ctx) instead of shedding, which is the right behaviour for
+// in-process callers like the proxy that own their own flow control. A
+// cache hit returns at once without queueing. The bool reports whether
+// the verdict came from the cache.
 func (p *Pool) Do(ctx context.Context, payload []byte) (core.Verdict, bool, error) {
 	return p.do(ctx, payload, false)
 }
@@ -506,53 +458,33 @@ func (p *Pool) Do(ctx context.Context, payload []byte) (core.Verdict, bool, erro
 // DoContent is Do routed through the content pipeline; it fails with
 // ErrContentDisabled when the pool was built without one.
 func (p *Pool) DoContent(ctx context.Context, payload []byte) (core.Verdict, bool, error) {
-	if p.pipe == nil {
-		return core.Verdict{}, false, ErrContentDisabled
-	}
 	return p.do(ctx, payload, true)
 }
 
 // do is the blocking path shared by Do and DoContent.
 func (p *Pool) do(ctx context.Context, payload []byte, isContent bool) (core.Verdict, bool, error) {
-	if p.isClosed() {
-		return core.Verdict{}, false, ErrShuttingDown
-	}
-	var deadline time.Time
-	if t, ok := ctx.Deadline(); ok {
-		deadline = t
-	}
-	j := job{
-		payload:  payload,
-		enqueued: time.Now(),
-		deadline: deadline,
-		tr:       p.autoTrace(len(payload)),
-		content:  isContent,
-	}
-	if v, ok := p.lookup(&j); ok {
-		return v, true, nil
-	}
 	type result struct {
 		v      core.Verdict
 		cached bool
 		err    error
 	}
 	ch := make(chan result, 1)
-	j.done = func(v core.Verdict, cached bool, err error) { ch <- result{v, cached, err} }
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return core.Verdict{}, false, ErrShuttingDown
+	j := job{
+		payload:  payload,
+		enqueued: time.Now(),
+		tr:       p.autoTrace(len(payload)),
+		content:  isContent,
+		done:     func(v core.Verdict, cached bool, err error) { ch <- result{v, cached, err} },
 	}
-	p.m.depth.Inc()
-	j.tr.StageStart(tracing.StageQueueWait)
-	select {
-	case p.jobs <- j:
-		p.publishPressure()
-		p.mu.RUnlock()
-	case <-ctx.Done():
-		p.m.depth.Dec()
-		p.mu.RUnlock()
-		return core.Verdict{}, false, ctx.Err()
+	if t, ok := ctx.Deadline(); ok {
+		j.deadline = t
+	}
+	answered, err := p.admit(&j)
+	if err == nil && !answered {
+		err = p.enqueue(ctx, &j)
+	}
+	if err != nil {
+		return core.Verdict{}, false, err
 	}
 	r := <-ch
 	return r.v, r.cached, r.err
@@ -643,8 +575,7 @@ func (p *Pool) scan(j *job) (core.Verdict, error) {
 	if err != nil {
 		p.m.errs.Inc()
 		wrapped := fmt.Errorf("%w: %v", ErrScanFailed, err)
-		p.abort(tr, wrapped)
-		p.recordJobEvent(j, core.Verdict{}, false, events.CauseScanError)
+		p.fail(j, wrapped, events.CauseScanError)
 		return core.Verdict{}, wrapped
 	}
 	if p.cache != nil && !v.Shed {
@@ -659,14 +590,16 @@ func (p *Pool) scan(j *job) (core.Verdict, error) {
 	return v, nil
 }
 
-// abort completes and records a trace for a failed request.
-func (p *Pool) abort(tr *tracing.Trace, err error) {
-	if tr == nil {
-		return
+// fail records j's failure with err — a refusal, an expiry, or a scan
+// error: its trace is completed and recorded, and the failure journaled
+// under cause, so every journaled trace id resolves in the recorder.
+func (p *Pool) fail(j *job, err error, cause events.Cause) {
+	if tr := j.tr; tr != nil {
+		tr.SetError(err.Error())
+		tr.Finish()
+		p.rec.Record(tr)
 	}
-	tr.SetError(err.Error())
-	tr.Finish()
-	p.rec.Record(tr)
+	p.recordJobEvent(j, core.Verdict{}, false, cause)
 }
 
 // finish records a served verdict; the caller delivers it to done.

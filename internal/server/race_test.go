@@ -69,7 +69,7 @@ func TestVerdictCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentHammer: goroutines hammer Submit and Do against a
+// TestPoolConcurrentHammer: goroutines hammer runOrSubmit and Do against a
 // small pool whose cache holds fewer payloads than the hammer cycles
 // through, so inline hits, queued misses and evictions interleave, and
 // a share of submissions arrive already expired. Every call must
@@ -130,7 +130,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 				}
 				var calls atomic.Int32
 				done := make(chan error, 2)
-				err := pool.Submit(p, deadline, func(_ core.Verdict, _ bool, err error) {
+				err := pool.runOrSubmit(p, deadline, nil, false, false, func(_ core.Verdict, _ bool, err error) {
 					calls.Add(1)
 					done <- err
 				})
@@ -224,7 +224,7 @@ func TestPoolShedIsDeterministic(t *testing.T) {
 	workerIn := make(chan struct{})
 	release := make(chan struct{})
 	pinnedDone := make(chan struct{})
-	if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) {
+	if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(core.Verdict, bool, error) {
 		close(workerIn)
 		<-release
 		close(pinnedDone)
@@ -235,12 +235,12 @@ func TestPoolShedIsDeterministic(t *testing.T) {
 
 	// Fill the single queue slot.
 	queuedDone := make(chan struct{})
-	if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) { close(queuedDone) }); err != nil {
+	if err := pool.runOrSubmit(p, time.Time{}, nil, false, false, func(core.Verdict, bool, error) { close(queuedDone) }); err != nil {
 		t.Fatal(err)
 	}
 	// Worker pinned + queue full: the third submission must shed, every
 	// time.
-	err = pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) {
+	err = pool.runOrSubmit(p, time.Time{}, nil, false, false, func(core.Verdict, bool, error) {
 		t.Error("shed job must never run")
 	})
 	if !errors.Is(err, ErrOverloaded) {

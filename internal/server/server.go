@@ -413,16 +413,16 @@ func (s *Server) parseRequest(typ byte, payload []byte, readErr error) (body []b
 	if readErr != nil {
 		return nil, nil, false, CodeTooLarge, fmt.Sprintf("payload exceeds maximum %d", s.cfg.MaxPayload)
 	}
-	if typ != MsgScan && typ != MsgScanTraced && typ != MsgScanContent && typ != MsgScanContentTraced {
+	isContent, traced, ok := msgShape(&scanTypes, typ)
+	if !ok {
 		s.badFrames.Inc()
 		return nil, nil, false, CodeBadRequest, fmt.Sprintf("unknown request type 0x%02x", typ)
 	}
-	isContent = typ == MsgScanContent || typ == MsgScanContentTraced
 	if isContent && s.cfg.Content == nil {
 		s.badFrames.Inc()
 		return nil, nil, false, CodeBadRequest, ErrContentDisabled.Error()
 	}
-	if typ == MsgScanTraced || typ == MsgScanContentTraced {
+	if traced {
 		if len(payload) < traceIDLen {
 			s.badFrames.Inc()
 			return nil, nil, false, CodeBadRequest, "traced scan shorter than trace id"
@@ -468,18 +468,10 @@ type reqState struct {
 // The pool finished the trace before invoking done, so the stage
 // durations read here are final.
 func (r *reqState) appendResponse(dst []byte) []byte {
-	switch {
-	case r.err != nil:
+	if r.err != nil {
 		return appendError(dst, r.id, codeFor(r.err), r.err.Error())
-	case r.content && r.tr != nil:
-		return appendVerdictContentTraced(dst, r.id, r.v, r.cached, r.tr)
-	case r.content:
-		return appendVerdictContent(dst, r.id, r.v, r.cached)
-	case r.tr != nil:
-		return appendVerdictTraced(dst, r.id, r.v, r.cached, r.tr)
-	default:
-		return appendVerdict(dst, r.id, r.v, r.cached)
 	}
+	return appendVerdict(dst, r.id, r.v, r.cached, r.content, r.tr)
 }
 
 // connOut is a connection's buffered write side. The reader writes the

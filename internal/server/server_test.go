@@ -488,6 +488,13 @@ func TestReadTimeoutSparesBusyConn(t *testing.T) {
 	}
 }
 
+// submit queues payload on pool the way a connection reader does with
+// more requests buffered: never scanned inline, shed when the queue is
+// full.
+func submit(pool *server.Pool, payload []byte, deadline time.Time, done func(core.Verdict, bool, error)) error {
+	return server.RunOrSubmit(pool, payload, deadline, nil, false, false, done)
+}
+
 // TestPoolDrainServesQueuedWork: jobs accepted before Close are served
 // during the drain, never dropped.
 func TestPoolDrainServesQueuedWork(t *testing.T) {
@@ -503,7 +510,7 @@ func TestPoolDrainServesQueuedWork(t *testing.T) {
 	const jobs = 6
 	done := make(chan error, jobs)
 	for i := 0; i < jobs; i++ {
-		err := pool.Submit(p, time.Time{}, func(_ core.Verdict, _ bool, err error) { done <- err })
+		err := submit(pool, p, time.Time{}, func(_ core.Verdict, _ bool, err error) { done <- err })
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -514,7 +521,7 @@ func TestPoolDrainServesQueuedWork(t *testing.T) {
 			t.Fatalf("queued job failed during drain: %v", err)
 		}
 	}
-	if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) {}); !errors.Is(err, server.ErrShuttingDown) {
+	if err := submit(pool, p, time.Time{}, func(core.Verdict, bool, error) {}); !errors.Is(err, server.ErrShuttingDown) {
 		t.Fatalf("submit after close = %v, want ErrShuttingDown", err)
 	}
 }
@@ -537,11 +544,11 @@ func TestRequestDeadlineExpiresTyped(t *testing.T) {
 	// deadline is already in the past — deterministically expired by
 	// the time the worker frees up.
 	blockDone := make(chan struct{})
-	if err := pool.Submit(p, time.Time{}, func(core.Verdict, bool, error) { close(blockDone) }); err != nil {
+	if err := submit(pool, p, time.Time{}, func(core.Verdict, bool, error) { close(blockDone) }); err != nil {
 		t.Fatal(err)
 	}
 	expired := make(chan error, 1)
-	if err := pool.Submit(p, time.Now().Add(-time.Second), func(_ core.Verdict, _ bool, err error) { expired <- err }); err != nil {
+	if err := submit(pool, p, time.Now().Add(-time.Second), func(_ core.Verdict, _ bool, err error) { expired <- err }); err != nil {
 		t.Fatal(err)
 	}
 	<-blockDone

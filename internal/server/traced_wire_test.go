@@ -10,7 +10,7 @@ import (
 )
 
 // TestVerdictTracedRoundTrip: a traced verdict frame survives
-// append → readFrame → decode with the id, total, and every closed
+// append → ReadFrame → decode with the id, total, and every closed
 // stage intact, and unclosed stages come back as -1.
 func TestVerdictTracedRoundTrip(t *testing.T) {
 	var tid tracing.TraceID
@@ -26,16 +26,16 @@ func TestVerdictTracedRoundTrip(t *testing.T) {
 	tr.SetTotal(150 * time.Microsecond)
 
 	want := core.Verdict{Malicious: true, MEL: 123, BestStart: 77, Threshold: 104.5, TextOnly: false}
-	frame := appendVerdictTraced(nil, 42, want, true, tr)
+	frame := appendVerdict(nil, 42, want, true, false, tr)
 
-	typ, id, payload, err := readFrame(bytes.NewReader(frame), uint32(len(frame)))
+	typ, id, payload, err := ReadFrame(bytes.NewReader(frame), uint32(len(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ != MsgVerdictTraced || id != 42 {
 		t.Fatalf("frame header: type 0x%02x id %d", typ, id)
 	}
-	v, cached, wt, err := decodeVerdictTraced(payload)
+	v, cached, wt, err := DecodeVerdictOf(typ, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestVerdictTracedDecodeRejectsTruncation(t *testing.T) {
 	tr := tracing.New(tracing.NewID(), 64)
 	tr.SetStageDur(tracing.StageDP, time.Microsecond)
 	tr.SetTotal(2 * time.Microsecond)
-	frame := appendVerdictTraced(nil, 7, core.Verdict{MEL: 9}, false, tr)
+	frame := appendVerdict(nil, 7, core.Verdict{MEL: 9}, false, false, tr)
 	payload := frame[4+headerLen:]
 	for n := 0; n < len(payload); n++ {
-		if _, _, _, err := decodeVerdictTraced(payload[:n]); err == nil {
+		if _, _, _, err := DecodeVerdictOf(MsgVerdictTraced, payload[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
-	if _, _, _, err := decodeVerdictTraced(payload); err != nil {
+	if _, _, _, err := DecodeVerdictOf(MsgVerdictTraced, payload); err != nil {
 		t.Fatalf("full payload rejected: %v", err)
 	}
 }

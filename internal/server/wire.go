@@ -13,31 +13,38 @@
 //
 // and every body starts with a fixed header:
 //
-//	byte  type     (MsgScan, MsgVerdict, MsgError)
+//	byte  type
 //	uint64 big-endian request id
 //
-// followed by a type-specific payload:
+// followed by a type-specific payload. A MsgError (0x03) carries
+// code(1) | UTF-8 message. Every scan request and every verdict has one
+// shape, set by two bits: content routes the scan through the content
+// pipeline, traced asks for the server's stage timings. A bracketed
+// part is present only when its bit is set:
 //
-//	MsgScan:          the raw bytes to scan
-//	MsgVerdict:       flags(1) | MEL uint32 | BestStart uint32 | τ float64 bits
-//	MsgError:         code(1) | UTF-8 message
-//	MsgScanTraced:    trace id(16) | the raw bytes to scan
-//	MsgVerdictTraced: MsgVerdict payload | trace id(16) | total ns uint64 |
-//	                  nStages(1) | nStages × (stage(1) | dur ns uint64)
-//	MsgScanContent:   the raw bytes, scanned through the content pipeline
-//	MsgVerdictContent: MsgVerdict payload | view index uint16 |
-//	                  triage score float64 bits | chain len(1) | chain kinds
-//	MsgScanContentTraced / MsgVerdictContentTraced: the content forms
-//	                  with the trace id prefix / trace echo suffix
+//	request: [trace id(16), traced] | the bytes to scan
+//	verdict: flags(1) | MEL uint32 | BestStart uint32 | τ float64 bits |
+//	         [view index uint16 | triage score float64 bits |
+//	          chain len(1) | chain kinds, content] |
+//	         [trace id(16) | total ns uint64 | nStages(1) |
+//	          nStages × (stage(1) | dur ns uint64), traced]
+//
+// The two bits pick the message type:
+//
+//	content traced  request                     verdict
+//	no      no      MsgScan 0x01                MsgVerdict 0x02
+//	no      yes     MsgScanTraced 0x04          MsgVerdictTraced 0x05
+//	yes     no      MsgScanContent 0x06         MsgVerdictContent 0x08
+//	yes     yes     MsgScanContentTraced 0x07   MsgVerdictContentTraced 0x09
 //
 // Request ids are chosen by the client and echoed verbatim, so one
 // connection carries any number of pipelined, out-of-order requests.
 //
-// Tracing is version-gated by message type, not by mutating existing
-// frames: a client that never sends MsgScanTraced talks to any server,
-// and a pre-tracing server answers MsgScanTraced with a MsgError
-// (unknown type), which the client library treats as "downgrade and
-// retry untraced".
+// Tracing and the content pipeline are version-gated by message type,
+// not by mutating existing frames: a client that never sends a traced
+// or content request talks to any server, and a server that does not
+// know such a type answers it with a MsgError (bad request), which the
+// client library treats as "downgrade and retry".
 package server
 
 import (
@@ -46,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/content"
@@ -53,36 +61,18 @@ import (
 	"repro/internal/telemetry/tracing"
 )
 
-// Message types.
+// Message types. Scan requests and verdicts come in four types each,
+// one per (content, traced) pair; see the package doc for the shapes.
 const (
-	// MsgScan is a client scan request; the body payload is the bytes to
-	// scan.
-	MsgScan byte = 0x01
-	// MsgVerdict is a successful scan response.
-	MsgVerdict byte = 0x02
-	// MsgError is a failed scan response carrying a status code.
-	MsgError byte = 0x03
-	// MsgScanTraced is MsgScan with a leading 16-byte trace id; the
-	// server echoes the id and its stage timings in a MsgVerdictTraced.
-	MsgScanTraced byte = 0x04
-	// MsgVerdictTraced is MsgVerdict extended with the trace id, total
-	// server-side duration, and per-stage durations.
-	MsgVerdictTraced byte = 0x05
-	// MsgScanContent is MsgScan routed through the content pipeline
-	// (triage → decode → MEL); answered with MsgVerdictContent. Like
-	// tracing, the content path is version-gated by message type: a
-	// pre-content server answers with MsgError (unknown type) and the
-	// client library downgrades to a plain scan.
-	MsgScanContent byte = 0x06
-	// MsgScanContentTraced is MsgScanContent with a leading trace id,
-	// answered with MsgVerdictContentTraced.
-	MsgScanContentTraced byte = 0x07
-	// MsgVerdictContent is MsgVerdict extended with the content fields:
-	// view index, triage score, and the decode chain.
-	MsgVerdictContent byte = 0x08
-	// MsgVerdictContentTraced carries the content fields and the trace
-	// echo.
-	MsgVerdictContentTraced byte = 0x09
+	MsgScan                 byte = 0x01 // scan request
+	MsgVerdict              byte = 0x02 // verdict
+	MsgError                byte = 0x03 // typed error: code, message
+	MsgScanTraced           byte = 0x04 // scan request with a trace id
+	MsgVerdictTraced        byte = 0x05 // verdict with the trace echo
+	MsgScanContent          byte = 0x06 // scan through the content pipeline
+	MsgScanContentTraced    byte = 0x07 // content scan with a trace id
+	MsgVerdictContent       byte = 0x08 // verdict with the content extension
+	MsgVerdictContentTraced byte = 0x09 // content verdict with the trace echo
 )
 
 // Verdict flag bits.
@@ -102,17 +92,10 @@ const (
 	traceIDLen   = tracing.IDLen       // trace id field in traced frames
 	maxFrameSlop = headerLen + 1 + 256 // header + code + message room
 
-	// tracedVerdictMax bounds a MsgVerdictTraced payload: verdict, id,
-	// total, stage count, and every defined stage.
-	tracedVerdictMax = verdictLen + traceIDLen + 8 + 1 + tracing.NumStages*9
-
-	// contentExtMax bounds the content extension: view index, triage
-	// score bits, and the decode chain in wire form.
-	contentExtMax = 2 + 8 + 1 + content.MaxChainLen
-	// contentVerdictMax bounds a MsgVerdictContent payload;
-	// tracedContentVerdictMax a MsgVerdictContentTraced one.
-	contentVerdictMax       = verdictLen + contentExtMax
-	tracedContentVerdictMax = tracedVerdictMax + contentExtMax
+	// verdictMax bounds a verdict payload: the verdict body, the content
+	// extension (view index, triage score, decode chain) and the trace
+	// echo (id, total, stage count, every defined stage).
+	verdictMax = verdictLen + 2 + 8 + 1 + content.MaxChainLen + traceIDLen + 8 + 1 + tracing.NumStages*9
 )
 
 // wire framing errors.
@@ -121,21 +104,14 @@ var (
 	errShortFrame    = errors.New("server: frame shorter than header")
 )
 
-// readFrame reads one frame body (type, request id, payload). The
-// payload slice is freshly allocated and safe to retain. maxBody bounds
-// the accepted body length; a larger frame is consumed — header kept,
-// payload discarded without buffering — and reported as
-// errFrameTooLarge with the type and request id intact, so a server
-// can answer it with a typed error instead of dropping the connection,
-// while a hostile peer still cannot balloon memory.
-func readFrame(r io.Reader, maxBody uint32) (typ byte, id uint64, payload []byte, err error) {
-	var buf []byte
-	return readFrameInto(r, maxBody, &buf)
-}
-
-// readFrameInto is readFrame reading the body into *buf, which is
-// replaced by a fresh slice when the body does not fit; the payload
-// aliases *buf.
+// readFrameInto reads one frame body (type, request id, payload) into
+// *buf, which is replaced by a fresh slice when the body does not fit;
+// the payload aliases *buf. maxBody bounds the accepted body length; a
+// larger frame is consumed — header kept, payload discarded without
+// buffering — and reported as errFrameTooLarge with the type and
+// request id intact, so a server can answer it with a typed error
+// instead of dropping the connection, while a hostile peer still cannot
+// balloon memory.
 func readFrameInto(r io.Reader, maxBody uint32, buf *[]byte) (typ byte, id uint64, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
@@ -167,13 +143,14 @@ func readFrameInto(r io.Reader, maxBody uint32, buf *[]byte) (typ byte, id uint6
 }
 
 // appendFrame appends one framed message to dst and returns the
-// extended slice — writers frame into a reused buffer with no
-// per-message allocation.
+// extended slice, growing dst at most once — writers frame into a
+// reused buffer with no per-message allocation.
 func appendFrame(dst []byte, typ byte, id uint64, payload ...[]byte) []byte {
 	total := headerLen
 	for _, p := range payload {
 		total += len(p)
 	}
+	dst = slices.Grow(dst, 4+total)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
 	dst = append(dst, typ)
 	dst = binary.BigEndian.AppendUint64(dst, id)
@@ -183,16 +160,116 @@ func appendFrame(dst []byte, typ byte, id uint64, payload ...[]byte) []byte {
 	return dst
 }
 
-// appendVerdict appends a MsgVerdict frame for v.
-func appendVerdict(dst []byte, id uint64, v core.Verdict, cached bool) []byte {
-	var body [verdictLen]byte
-	b := appendVerdictBody(body[:0], v, verdictFlags(v, cached))
-	return appendFrame(dst, MsgVerdict, id, b)
+// Scan requests and verdicts each come in four message types, one per
+// (content, traced) pair, indexed [content][traced]: the content bit
+// routes the scan through the content pipeline and adds the content
+// extension to its verdict, the traced bit prefixes the request with a
+// trace id and adds the trace echo to its verdict.
+var (
+	scanTypes    = [2][2]byte{{MsgScan, MsgScanTraced}, {MsgScanContent, MsgScanContentTraced}}
+	verdictTypes = [2][2]byte{{MsgVerdict, MsgVerdictTraced}, {MsgVerdictContent, MsgVerdictContentTraced}}
+)
+
+// msgType returns the type in types for a (content, traced) scan.
+func msgType(types *[2][2]byte, isContent, traced bool) byte {
+	c, t := 0, 0
+	if isContent {
+		c = 1
+	}
+	if traced {
+		t = 1
+	}
+	return types[c][t]
 }
 
-// appendTraceEcho appends the trace tail shared by both traced verdict
-// types: trace id, server-side total, and every closed stage as
-// (stage, duration ns) pairs behind a count byte.
+// msgShape is msgType's inverse: the (content, traced) bits of typ, or
+// ok false when typ is not one of types.
+func msgShape(types *[2][2]byte, typ byte) (isContent, traced, ok bool) {
+	for c, row := range types {
+		for t, m := range row {
+			if m == typ {
+				return c == 1, t == 1, true
+			}
+		}
+	}
+	return false, false, false
+}
+
+// appendVerdict appends the verdict frame for v: the verdict body —
+// flags, MEL, BestStart, τ — then the content extension for a content
+// scan, then the trace echo when tr is non-nil. Those two bits pick the
+// message type.
+func appendVerdict(dst []byte, id uint64, v core.Verdict, cached, isContent bool, tr *tracing.Trace) []byte {
+	var flags byte
+	if v.Malicious {
+		flags |= flagMalicious
+	}
+	if v.TextOnly {
+		flags |= flagTextOnly
+	}
+	if cached {
+		flags |= flagCached
+	}
+	if isContent && v.TriageCleared {
+		flags |= flagTriageCleared
+	}
+	var body [verdictMax]byte
+	b := append(body[:0], flags)
+	b = binary.BigEndian.AppendUint32(b, uint32(v.MEL))
+	b = binary.BigEndian.AppendUint32(b, uint32(v.BestStart))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Threshold))
+	if isContent {
+		b = appendContentExt(b, v)
+	}
+	if tr != nil {
+		b = appendTraceEcho(b, tr)
+	}
+	return appendFrame(dst, msgType(&verdictTypes, isContent, tr != nil), id, b)
+}
+
+// DecodeVerdictOf parses the payload of a verdict of message type typ
+// — any of the four — into the verdict (content fields included for a
+// content type), its cache-hit flag and, for a traced type, the
+// server's timing echo, whose id the verdict adopts. It must consume p
+// exactly; a non-verdict type is an error.
+func DecodeVerdictOf(typ byte, p []byte) (v core.Verdict, cached bool, wt WireTrace, err error) {
+	isContent, traced, ok := msgShape(&verdictTypes, typ)
+	if !ok {
+		return core.Verdict{}, false, WireTrace{}, fmt.Errorf("server: message type 0x%02x is not a verdict", typ)
+	}
+	if len(p) < verdictLen {
+		return core.Verdict{}, false, WireTrace{}, fmt.Errorf("server: verdict payload is %d bytes, want >= %d", len(p), verdictLen)
+	}
+	flags := p[0]
+	v.Malicious = flags&flagMalicious != 0
+	v.TextOnly = flags&flagTextOnly != 0
+	v.MEL = int(binary.BigEndian.Uint32(p[1:5]))
+	v.BestStart = int(binary.BigEndian.Uint32(p[5:9]))
+	v.Threshold = math.Float64frombits(binary.BigEndian.Uint64(p[9:17]))
+	rest := p[verdictLen:]
+	if isContent {
+		n, err := decodeContentExt(rest, &v, flags)
+		if err != nil {
+			return core.Verdict{}, false, WireTrace{}, err
+		}
+		rest = rest[n:]
+	}
+	if traced {
+		if wt, err = decodeTraceEcho(rest); err != nil {
+			return core.Verdict{}, false, WireTrace{}, err
+		}
+		v.TraceID = wt.ID
+		rest = nil
+	}
+	if len(rest) != 0 {
+		return core.Verdict{}, false, WireTrace{}, fmt.Errorf("server: verdict payload has %d trailing bytes", len(rest))
+	}
+	return v, flags&flagCached != 0, wt, nil
+}
+
+// appendTraceEcho appends the trace echo of a traced verdict: trace id,
+// server-side total, and every closed stage as (stage, duration ns)
+// pairs behind a count byte.
 func appendTraceEcho(b []byte, tr *tracing.Trace) []byte {
 	b = append(b, tr.ID[:]...)
 	b = binary.BigEndian.AppendUint64(b, uint64(tr.Total()))
@@ -238,41 +315,6 @@ func decodeTraceEcho(p []byte) (wt WireTrace, err error) {
 	return wt, nil
 }
 
-// appendVerdictTraced appends a MsgVerdictTraced frame: the plain
-// verdict payload followed by the trace echo.
-func appendVerdictTraced(dst []byte, id uint64, v core.Verdict, cached bool, tr *tracing.Trace) []byte {
-	var body [tracedVerdictMax]byte
-	b := appendVerdictBody(body[:0], v, verdictFlags(v, cached))
-	b = appendTraceEcho(b, tr)
-	return appendFrame(dst, MsgVerdictTraced, id, b)
-}
-
-// verdictFlags packs v's flag bits (content verdicts add the
-// triage-cleared bit).
-func verdictFlags(v core.Verdict, cached bool) byte {
-	var f byte
-	if v.Malicious {
-		f |= flagMalicious
-	}
-	if v.TextOnly {
-		f |= flagTextOnly
-	}
-	if cached {
-		f |= flagCached
-	}
-	return f
-}
-
-// appendVerdictBody appends the plain verdict fields (no frame, no
-// content extension) to b.
-func appendVerdictBody(b []byte, v core.Verdict, flags byte) []byte {
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint32(b, uint32(v.MEL))
-	b = binary.BigEndian.AppendUint32(b, uint32(v.BestStart))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Threshold))
-	return b
-}
-
 // appendContentExt appends the content extension: view index, triage
 // score, and the decode chain in its compact wire form. A chain string
 // that fails to parse (never produced by the pipeline) degrades to the
@@ -304,94 +346,13 @@ func decodeContentExt(p []byte, v *core.Verdict, flags byte) (int, error) {
 	return 10 + n, nil
 }
 
-// appendVerdictContent appends a MsgVerdictContent frame: the plain
-// verdict payload followed by the content extension.
-func appendVerdictContent(dst []byte, id uint64, v core.Verdict, cached bool) []byte {
-	var body [contentVerdictMax]byte
-	flags := verdictFlags(v, cached)
-	if v.TriageCleared {
-		flags |= flagTriageCleared
-	}
-	b := appendVerdictBody(body[:0], v, flags)
-	b = appendContentExt(b, v)
-	return appendFrame(dst, MsgVerdictContent, id, b)
-}
-
-// decodeVerdictContent parses a MsgVerdictContent payload.
-func decodeVerdictContent(p []byte) (v core.Verdict, cached bool, err error) {
-	if len(p) < verdictLen {
-		return core.Verdict{}, false, fmt.Errorf("server: content verdict payload is %d bytes, want >= %d", len(p), verdictLen)
-	}
-	v, cached, err = decodeVerdict(p[:verdictLen])
-	if err != nil {
-		return core.Verdict{}, false, err
-	}
-	n, err := decodeContentExt(p[verdictLen:], &v, p[0])
-	if err != nil {
-		return core.Verdict{}, false, err
-	}
-	if verdictLen+n != len(p) {
-		return core.Verdict{}, false, fmt.Errorf("server: content verdict payload has %d trailing bytes", len(p)-verdictLen-n)
-	}
-	return v, cached, nil
-}
-
-// appendVerdictContentTraced appends a MsgVerdictContentTraced frame:
-// verdict payload, content extension, then the trace echo (id, total,
-// closed stages).
-func appendVerdictContentTraced(dst []byte, id uint64, v core.Verdict, cached bool, tr *tracing.Trace) []byte {
-	var body [tracedContentVerdictMax]byte
-	flags := verdictFlags(v, cached)
-	if v.TriageCleared {
-		flags |= flagTriageCleared
-	}
-	b := appendVerdictBody(body[:0], v, flags)
-	b = appendContentExt(b, v)
-	b = appendTraceEcho(b, tr)
-	return appendFrame(dst, MsgVerdictContentTraced, id, b)
-}
-
-// decodeVerdictContentTraced parses a MsgVerdictContentTraced payload.
-func decodeVerdictContentTraced(p []byte) (v core.Verdict, cached bool, wt WireTrace, err error) {
-	if len(p) < verdictLen {
-		return core.Verdict{}, false, WireTrace{}, fmt.Errorf("server: traced content verdict payload is %d bytes, want >= %d", len(p), verdictLen)
-	}
-	v, cached, err = decodeVerdict(p[:verdictLen])
-	if err != nil {
-		return core.Verdict{}, false, WireTrace{}, err
-	}
-	n, err := decodeContentExt(p[verdictLen:], &v, p[0])
-	if err != nil {
-		return core.Verdict{}, false, WireTrace{}, err
-	}
-	wt, err = decodeTraceEcho(p[verdictLen+n:])
-	if err != nil {
-		return core.Verdict{}, false, WireTrace{}, err
-	}
-	v.TraceID = wt.ID
-	return v, cached, wt, nil
-}
-
 // appendError appends a MsgError frame.
 func appendError(dst []byte, id uint64, code byte, msg string) []byte {
 	return appendFrame(dst, MsgError, id, []byte{code}, []byte(msg))
 }
 
-// decodeVerdict parses a MsgVerdict payload.
-func decodeVerdict(p []byte) (v core.Verdict, cached bool, err error) {
-	if len(p) != verdictLen {
-		return core.Verdict{}, false, fmt.Errorf("server: verdict payload is %d bytes, want %d", len(p), verdictLen)
-	}
-	v.Malicious = p[0]&flagMalicious != 0
-	v.TextOnly = p[0]&flagTextOnly != 0
-	v.MEL = int(binary.BigEndian.Uint32(p[1:5]))
-	v.BestStart = int(binary.BigEndian.Uint32(p[5:9]))
-	v.Threshold = math.Float64frombits(binary.BigEndian.Uint64(p[9:17]))
-	return v, p[0]&flagCached != 0, nil
-}
-
-// WireTrace is the server-side timing echo decoded from a
-// MsgVerdictTraced response. Stages the server never closed are -1.
+// WireTrace is the server-side timing echo decoded from a traced
+// verdict. Stages the server never closed are -1.
 type WireTrace struct {
 	// ID is the trace id the request carried (echoed verbatim).
 	ID tracing.TraceID
@@ -402,88 +363,58 @@ type WireTrace struct {
 	Stages [tracing.NumStages]time.Duration
 }
 
-// decodeVerdictTraced parses a MsgVerdictTraced payload.
-func decodeVerdictTraced(p []byte) (v core.Verdict, cached bool, wt WireTrace, err error) {
-	if len(p) < verdictLen {
-		return core.Verdict{}, false, WireTrace{}, fmt.Errorf("server: traced verdict payload is %d bytes, want >= %d", len(p), verdictLen)
-	}
-	v, cached, err = decodeVerdict(p[:verdictLen])
-	if err != nil {
-		return core.Verdict{}, false, WireTrace{}, err
-	}
-	wt, err = decodeTraceEcho(p[verdictLen:])
-	if err != nil {
-		return core.Verdict{}, false, WireTrace{}, err
-	}
-	v.TraceID = wt.ID
-	return v, cached, wt, nil
-}
-
-// decodeError parses a MsgError payload into its code and message.
-func decodeError(p []byte) (code byte, msg string, err error) {
-	if len(p) < 1 {
-		return 0, "", errors.New("server: empty error payload")
-	}
-	return p[0], string(p[1:]), nil
-}
-
 // Exported wire surface for the client library (and any other peer
 // implementation): the same framing the server speaks.
 
 // ReadFrame reads one frame body: type, request id, payload. The
-// payload is freshly allocated; maxBody bounds accepted frames.
+// payload is freshly allocated and safe to retain; maxBody bounds
+// accepted frames, as in readFrameInto.
 func ReadFrame(r io.Reader, maxBody uint32) (typ byte, id uint64, payload []byte, err error) {
-	return readFrame(r, maxBody)
+	var buf []byte
+	return readFrameInto(r, maxBody, &buf)
+}
+
+// AppendRequest appends a scan request frame for payload to dst: a
+// content scan when isContent, and a traced one carrying the trace id
+// the server should adopt when tid is non-nil.
+func AppendRequest(dst []byte, id uint64, isContent bool, tid *tracing.TraceID, payload []byte) []byte {
+	typ := msgType(&scanTypes, isContent, tid != nil)
+	if tid == nil {
+		return appendFrame(dst, typ, id, payload)
+	}
+	return appendFrame(dst, typ, id, tid[:], payload)
 }
 
 // AppendScanRequest appends a MsgScan frame for payload to dst.
 func AppendScanRequest(dst []byte, id uint64, payload []byte) []byte {
-	return appendFrame(dst, MsgScan, id, payload)
-}
-
-// AppendScanTracedRequest appends a MsgScanTraced frame: the trace id
-// the server should adopt, then the payload.
-func AppendScanTracedRequest(dst []byte, id uint64, tid tracing.TraceID, payload []byte) []byte {
-	return appendFrame(dst, MsgScanTraced, id, tid[:], payload)
-}
-
-// DecodeVerdict parses a MsgVerdict payload into the verdict and its
-// cache-hit flag.
-func DecodeVerdict(p []byte) (v core.Verdict, cached bool, err error) {
-	return decodeVerdict(p)
-}
-
-// DecodeVerdictTraced parses a MsgVerdictTraced payload into the
-// verdict, its cache-hit flag, and the server's timing echo.
-func DecodeVerdictTraced(p []byte) (v core.Verdict, cached bool, wt WireTrace, err error) {
-	return decodeVerdictTraced(p)
-}
-
-// DecodeError parses a MsgError payload into its status code and
-// message; pair with ErrorForCode.
-func DecodeError(p []byte) (code byte, msg string, err error) {
-	return decodeError(p)
+	return AppendRequest(dst, id, false, nil, payload)
 }
 
 // AppendScanContentRequest appends a MsgScanContent frame for payload
 // to dst.
 func AppendScanContentRequest(dst []byte, id uint64, payload []byte) []byte {
-	return appendFrame(dst, MsgScanContent, id, payload)
+	return AppendRequest(dst, id, true, nil, payload)
 }
 
-// AppendScanContentTracedRequest appends a MsgScanContentTraced frame:
-// the trace id the server should adopt, then the payload.
-func AppendScanContentTracedRequest(dst []byte, id uint64, tid tracing.TraceID, payload []byte) []byte {
-	return appendFrame(dst, MsgScanContentTraced, id, tid[:], payload)
+// DecodeVerdict parses a MsgVerdict payload into the verdict and its
+// cache-hit flag.
+func DecodeVerdict(p []byte) (v core.Verdict, cached bool, err error) {
+	v, cached, _, err = DecodeVerdictOf(MsgVerdict, p)
+	return v, cached, err
 }
 
 // DecodeVerdictContent parses a MsgVerdictContent payload into the
 // verdict (content fields included) and its cache-hit flag.
 func DecodeVerdictContent(p []byte) (v core.Verdict, cached bool, err error) {
-	return decodeVerdictContent(p)
+	v, cached, _, err = DecodeVerdictOf(MsgVerdictContent, p)
+	return v, cached, err
 }
 
-// DecodeVerdictContentTraced parses a MsgVerdictContentTraced payload.
-func DecodeVerdictContentTraced(p []byte) (v core.Verdict, cached bool, wt WireTrace, err error) {
-	return decodeVerdictContentTraced(p)
+// DecodeError parses a MsgError payload into its status code and
+// message; pair with ErrorForCode.
+func DecodeError(p []byte) (code byte, msg string, err error) {
+	if len(p) < 1 {
+		return 0, "", errors.New("server: empty error payload")
+	}
+	return p[0], string(p[1:]), nil
 }

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry/tracing"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -26,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestVerdictRoundTrip(t *testing.T) {
 	want := core.Verdict{Malicious: true, MEL: 123, BestStart: 456, Threshold: 40.25, TextOnly: true}
 	var buf bytes.Buffer
-	buf.Write(appendVerdict(nil, 7, want, true))
+	buf.Write(appendVerdict(nil, 7, want, true, false, nil))
 
 	typ, id, payload, err := ReadFrame(&buf, 1<<20)
 	if err != nil {
@@ -188,6 +191,68 @@ func TestCodeForErrorForCodeMutualInverse(t *testing.T) {
 	} {
 		if got := msgTypes[typ]; got != want {
 			t.Errorf("frame type 0x%02x = %s, want %s", typ, got, want)
+		}
+	}
+}
+
+// pinnedTrace is a fixed trace: a set id, three closed stages (queue
+// wait, DP, triage) and a total.
+func pinnedTrace() *tracing.Trace {
+	var tid tracing.TraceID
+	for i := range tid {
+		tid[i] = byte(0xA0 + i)
+	}
+	tr := tracing.New(tid, 4096)
+	tr.SetStageDur(tracing.StageQueueWait, 1500*time.Nanosecond)
+	tr.SetStageDur(tracing.StageTriage, 300*time.Nanosecond)
+	tr.SetStageDur(tracing.StageDP, 90*time.Microsecond)
+	tr.SetTotal(150 * time.Microsecond)
+	return tr
+}
+
+// TestWireFramesPinned pins every scan request type, every verdict type
+// and an error frame byte for byte, so a change to the codec cannot
+// change what goes on the wire unnoticed.
+func TestWireFramesPinned(t *testing.T) {
+	tr := pinnedTrace()
+	payload := []byte("\x90\x90\xC3")
+	plain := core.Verdict{Malicious: true, TextOnly: true, MEL: 123, BestStart: 77, Threshold: 104.5}
+	cont := core.Verdict{
+		Malicious: true, MEL: 87, BestStart: 1024, Threshold: 43.7,
+		ViewIndex: 2, DecodeChain: "gzip>base64", TriageScore: 0.91, TriageCleared: true,
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"MsgScan", AppendScanRequest(nil, 1, payload),
+			"0000000c0100000000000000019090c3"},
+		{"MsgScanTraced", AppendRequest(nil, 2, false, &tr.ID, payload),
+			"0000001c040000000000000002a0a1a2a3a4a5a6a7a8a9aaabacadaeaf9090c3"},
+		{"MsgScanContent", AppendScanContentRequest(nil, 3, payload),
+			"0000000c0600000000000000039090c3"},
+		{"MsgScanContentTraced", AppendRequest(nil, 4, true, &tr.ID, payload),
+			"0000001c070000000000000004a0a1a2a3a4a5a6a7a8a9aaabacadaeaf9090c3"},
+		{"MsgVerdict", appendVerdict(nil, 5, plain, true, false, nil),
+			"0000001a020000000000000005070000007b0000004d405a200000000000"},
+		{"MsgVerdictTraced", appendVerdict(nil, 6, plain, false, false, tr),
+			"0000004e050000000000000006030000007b0000004d405a200000000000" +
+				"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf00000000000249f003" +
+				"0000000000000005dc040000000000015f9005000000000000012c"},
+		{"MsgVerdictContent", appendVerdict(nil, 7, cont, false, true, nil),
+			"000000270800000000000000070900000057000004004045d9999999999a" +
+				"00023fed1eb851eb851f020203"},
+		{"MsgVerdictContentTraced", appendVerdict(nil, 8, cont, true, true, tr),
+			"0000005b0900000000000000080d00000057000004004045d9999999999a" +
+				"00023fed1eb851eb851f020203" +
+				"a0a1a2a3a4a5a6a7a8a9aaabacadaeaf00000000000249f003" +
+				"0000000000000005dc040000000000015f9005000000000000012c"},
+		{"MsgError", appendError(nil, 9, CodeOverloaded, ErrOverloaded.Error()),
+			"0000002a030000000000000009017365727665723a206f7665726c6f616465642c20726571756573742073686564"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }
