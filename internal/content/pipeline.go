@@ -2,8 +2,6 @@ package content
 
 import (
 	"errors"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -35,7 +33,6 @@ type pipelineMetrics struct {
 	viewsCleared *telemetry.Counter
 	viewHits     *telemetry.Counter
 	budgetTrips  *telemetry.Counter
-	depthShed    *telemetry.Counter
 	decodeErrors *telemetry.Counter
 	score        *telemetry.Histogram
 }
@@ -51,7 +48,6 @@ func newPipelineMetrics(r *telemetry.Registry) *pipelineMetrics {
 		viewsCleared: r.Counter("content_views_cleared_total", "decoded views cleared by triage"),
 		viewHits:     r.Counter("content_view_malicious_total", "malicious verdicts found in a decoded view (wrapped payloads)"),
 		budgetTrips:  r.Counter("content_decode_budget_total", "decodes cut short by the output budget (zip-bomb guard)"),
-		depthShed:    r.Counter("content_depth_shed_total", "scans whose decode depth was reduced by load shedding"),
 		decodeErrors: r.Counter("content_view_scan_errors_total", "decoded views whose MEL pass failed"),
 		score: r.Histogram("content_triage_score", "triage suspicion score per payload",
 			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}),
@@ -60,17 +56,15 @@ func newPipelineMetrics(r *telemetry.Registry) *pipelineMetrics {
 
 // Pipeline composes triage → decode → MEL: the triage gate clears what
 // it can, the decode front end unwraps what it can't, and the MEL pass
-// runs on the raw payload plus every decoded view until one flags. It
-// is safe for concurrent use.
+// runs on the raw payload plus every decoded view until one flags. Its
+// verdict is a function of the payload bytes and the configuration
+// alone: every scan peels to the configured MaxDepth, whatever the
+// load. It is safe for concurrent use.
 type Pipeline struct {
 	triage *Triage
 	dec    *Decoder
 	scan   ScanFunc
 	m      *pipelineMetrics
-	// pressure is the current load signal in [0,1] (float64 bits),
-	// published by the serving layer; the shed policy drops decode depth
-	// as it rises, before any scan is dropped.
-	pressure atomic.Uint64
 }
 
 // NewPipeline builds a pipeline around scan.
@@ -96,39 +90,6 @@ func (p *Pipeline) Triage() *Triage { return p.triage }
 // Decoder exposes the configured decode front end.
 func (p *Pipeline) Decoder() *Decoder { return p.dec }
 
-// SetPressure publishes the serving layer's load signal in [0,1]
-// (queue occupancy, typically). The shed policy maps it to a decode
-// depth: full depth below 0.5, shallower as pressure rises, and decode
-// disabled entirely above 0.9 — the raw-payload scan itself is never
-// shed here.
-func (p *Pipeline) SetPressure(v float64) {
-	if v < 0 {
-		v = 0
-	} else if v > 1 {
-		v = 1
-	}
-	p.pressure.Store(math.Float64bits(v))
-}
-
-// depthFor maps the current pressure to an effective decode depth.
-func (p *Pipeline) depthFor() int {
-	v := math.Float64frombits(p.pressure.Load())
-	max := p.dec.MaxDepth()
-	switch {
-	case v >= 0.9:
-		return 0
-	case v >= 0.75:
-		return 1
-	case v >= 0.5:
-		if max > 2 {
-			return 2
-		}
-		return max
-	default:
-		return max
-	}
-}
-
 // Scan is ScanTraced without instrumentation.
 func (p *Pipeline) Scan(payload []byte) (core.Verdict, error) {
 	return p.ScanTraced(payload, nil)
@@ -137,8 +98,9 @@ func (p *Pipeline) Scan(payload []byte) (core.Verdict, error) {
 // ScanTraced runs payload through the cascade. The triage stage and
 // the decode/view loop are timed onto tr as StageTriage and
 // StageContentDecode (the engine stages inside reflect the last view
-// scanned), and the content outcome — view index, decode chain, triage
-// score — is stamped on both the trace and the returned verdict.
+// scanned); tr is used for stage timing only. The content outcome —
+// view index, decode chain, triage score — is set on the returned
+// verdict, which the caller stamps on its trace.
 //
 // A triage clear skips only the raw-payload MEL pass; layer sniffing
 // still runs, because a statistics-only clear cannot vouch for bytes
@@ -149,8 +111,7 @@ func (p *Pipeline) Scan(payload []byte) (core.Verdict, error) {
 // first malicious verdict wins and carries its decode chain; otherwise
 // the raw payload's verdict is returned. A decode cut short by the
 // output budget is not an error: the views produced before the cut are
-// still scanned and the trip is counted. A verdict reached at a decode
-// depth shed under load is marked Shed.
+// still scanned and the trip is counted.
 func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, error) {
 	p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.scans })
 
@@ -167,10 +128,6 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 	if res.Cleared {
 		p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.cleared })
 		raw = core.Verdict{TriageScore: res.Score, TriageCleared: true}
-		if tr != nil {
-			raw.TraceID = tr.ID
-		}
-		tr.SetVerdict(0, 0, false)
 	} else {
 		var err error
 		raw, err = p.scan(payload, tr)
@@ -179,42 +136,27 @@ func (p *Pipeline) ScanTraced(payload []byte, tr *tracing.Trace) (core.Verdict, 
 		}
 		raw.ViewIndex, raw.DecodeChain, raw.TriageScore = 0, "", res.Score
 		if raw.Malicious {
-			tr.SetContent(0, "", res.Score, false)
 			return raw, nil
 		}
 	}
 
-	depth := p.depthFor()
-	if depth < p.dec.MaxDepth() {
-		p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.depthShed })
-		raw.Shed = true
-	}
-	if depth == 0 {
-		tr.SetContent(0, "", res.Score, res.Cleared)
-		return raw, nil
-	}
-
 	tr.StageStart(tracing.StageContentDecode)
-	verdict := p.scanViews(payload, all, depth, res.Score, tr)
+	verdict := p.scanViews(payload, all, res.Score, tr)
 	tr.StageEnd(tracing.StageContentDecode)
 	if verdict.Malicious {
-		verdict.Shed = raw.Shed
-		tr.SetContent(verdict.ViewIndex, verdict.DecodeChain, res.Score, false)
-		tr.SetVerdict(verdict.MEL, verdict.Threshold, true)
 		return verdict, nil
 	}
-	tr.SetContent(0, "", res.Score, res.Cleared)
 	return raw, nil
 }
 
 // scanViews walks the decoded views of payload, whose sniff counts are
 // all, scanning each view its gate result does not clear, and returns
 // the first malicious verdict (zero Verdict when none flag).
-func (p *Pipeline) scanViews(payload []byte, all byteStats, depth int, score float64, tr *tracing.Trace) core.Verdict {
+func (p *Pipeline) scanViews(payload []byte, all byteStats, score float64, tr *tracing.Trace) core.Verdict {
 	var hit core.Verdict
 	index := 0
 	budget := p.dec.maxOutput
-	p.dec.walk(payload, all, Chain{}, depth, &budget, p.triage, func(view View, vres TriageResult, derr error) bool {
+	p.dec.walk(payload, all, Chain{}, p.dec.maxDepth, &budget, p.triage, func(view View, vres TriageResult, derr error) bool {
 		if derr != nil {
 			// Budget trip: the views already scanned stand; count and stop.
 			p.m.inc(func(m *pipelineMetrics) *telemetry.Counter { return m.budgetTrips })

@@ -169,8 +169,9 @@ func TestPipelineDifferentialVerdict(t *testing.T) {
 	}
 }
 
-// TestPipelineTraceAndTelemetry: stage spans, content fields, and
-// counters all land.
+// TestPipelineTraceAndTelemetry: stage spans and counters land. The
+// pipeline leaves the trace's verdict fields to the serving pool
+// (TestPoolTraceMatchesVerdict pins those).
 func TestPipelineTraceAndTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	det, err := core.New()
@@ -202,12 +203,6 @@ func TestPipelineTraceAndTelemetry(t *testing.T) {
 	if tr.StageDur(tracing.StageContentDecode) < 0 {
 		t.Error("content_decode stage never closed")
 	}
-	if tr.ViewIndex != v.ViewIndex || tr.DecodeChain != "gzip" || tr.TriageCleared {
-		t.Errorf("trace content fields: view=%d chain=%q cleared=%v", tr.ViewIndex, tr.DecodeChain, tr.TriageCleared)
-	}
-	if !tr.Malicious || tr.MEL != v.MEL {
-		t.Errorf("trace verdict: mal=%v mel=%d want mel=%d", tr.Malicious, tr.MEL, v.MEL)
-	}
 
 	// A cleared benign scan bumps the cleared counter.
 	if _, err := p.Scan(hostCase(t, 3)); err != nil {
@@ -224,77 +219,6 @@ func TestPipelineTraceAndTelemetry(t *testing.T) {
 	}
 	if got, ok := reg.Value("content_views_scanned_total"); !ok || got < 1 {
 		t.Errorf("content_views_scanned_total = %v", got)
-	}
-}
-
-// TestPipelineLoadShed: rising pressure drops decode depth before any
-// scan is dropped; at full pressure the raw scan still runs.
-func TestPipelineLoadShed(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	det, err := core.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPipeline(det.ScanTraced, PipelineConfig{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := testWorm(t, 4)
-	window := wormWindow(hostCase(t, 4), w.Bytes)
-	doubleWrapped, err := EncodeChain(mustChain(t, "gzip>base64"), window)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := p.depthFor(); got != p.Decoder().MaxDepth() {
-		t.Fatalf("idle depth = %d", got)
-	}
-	p.SetPressure(0.8)
-	if got := p.depthFor(); got != 1 {
-		t.Fatalf("depth at 0.8 pressure = %d, want 1", got)
-	}
-	// Depth 1 cannot reach the worm behind two layers...
-	v, err := p.Scan(doubleWrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Malicious {
-		t.Fatal("depth-1 shed still peeled two layers")
-	}
-	if !v.Shed {
-		t.Fatal("verdict at shed depth not marked Shed")
-	}
-	// ...but a raw worm is still scanned and flagged even at max pressure.
-	p.SetPressure(1.0)
-	if got := p.depthFor(); got != 0 {
-		t.Fatalf("depth at full pressure = %d, want 0", got)
-	}
-	v, err = p.Scan(window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Malicious {
-		t.Fatal("raw worm missed under full pressure")
-	}
-	if v.Shed {
-		t.Fatal("raw-payload hit marked Shed: it does not depend on decode depth")
-	}
-	// A benign scan at full pressure skips decode entirely and counts
-	// as a shed.
-	if _, err := p.Scan(doubleWrapped); err != nil {
-		t.Fatal(err)
-	}
-	if shed, _ := reg.Value("content_depth_shed_total"); shed < 2 {
-		t.Fatalf("content_depth_shed_total = %v, want >= 2", shed)
-	}
-	// Back to idle: the wrapped worm is caught again.
-	p.SetPressure(0)
-	v, err = p.Scan(doubleWrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Malicious || v.DecodeChain != "gzip>base64" || v.Shed {
-		t.Fatalf("post-shed verdict = %+v", v)
 	}
 }
 

@@ -218,10 +218,12 @@ type Verdict struct {
 	TextOnly bool
 	// BestStart is the offset where the longest path begins.
 	BestStart int
-	// TraceID identifies the per-scan trace this verdict was produced
-	// under, zero when the scan was untraced. It flows with the verdict
-	// through the stream scanner and proxy so alerts can be chased back
-	// to a flight-recorder entry.
+	// TraceID identifies the per-scan trace this verdict was served
+	// under, zero when the scan was untraced. The scan pool sets it when
+	// it joins the verdict to its trace (the detector and the content
+	// pipeline never do), and a traced wire response carries it back to
+	// the client. It flows with the verdict through the stream scanner
+	// and proxy so alerts can be chased back to a flight-recorder entry.
 	TraceID tracing.TraceID
 
 	// Content-pipeline fields, populated only when the scan ran through
@@ -240,11 +242,6 @@ type Verdict struct {
 	// without invoking the MEL pass (MEL, Params, and BestStart are then
 	// zero).
 	TriageCleared bool
-	// Shed reports that load shedding cut the decode depth below the
-	// configured maximum, so views past the cut went unscanned. Such a
-	// verdict holds only for that load: the scan service never caches
-	// it. It is not sent on the wire.
-	Shed bool
 }
 
 // Scan analyzes one payload.
@@ -253,9 +250,9 @@ func (d *Detector) Scan(payload []byte) (Verdict, error) {
 }
 
 // ScanTraced is Scan with per-stage instrumentation: threshold
-// derivation, the engine's decode pass, and the DP are timed onto tr,
-// and the verdict summary (MEL, τ, maliciousness) is stamped on the
-// trace. Scan is exactly ScanTraced(payload, nil).
+// derivation, the engine's decode pass, and the DP are timed onto tr.
+// tr is used for stage timing only; the verdict is not written on it.
+// Scan is exactly ScanTraced(payload, nil).
 func (d *Detector) ScanTraced(payload []byte, tr *tracing.Trace) (Verdict, error) {
 	if d == nil || d.engine == nil {
 		return Verdict{}, ErrNotCalibrated
@@ -311,20 +308,14 @@ func (d *Detector) scan(payload []byte, tr *tracing.Trace) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, fmt.Errorf("scan: %w", err)
 	}
-	malicious := float64(res.MEL) > tau
-	tr.SetVerdict(res.MEL, tau, malicious)
-	v := Verdict{
-		Malicious: malicious,
+	return Verdict{
+		Malicious: float64(res.MEL) > tau,
 		MEL:       res.MEL,
 		Threshold: tau,
 		Params:    params,
 		TextOnly:  textOnly,
 		BestStart: res.BestStart,
-	}
-	if tr != nil {
-		v.TraceID = tr.ID
-	}
-	return v, nil
+	}, nil
 }
 
 // ScanAll scans a batch and returns the verdicts in input order. It is

@@ -223,9 +223,6 @@ func FormatEvent(e *events.EventJSON) string {
 	if e.TriageCleared {
 		b.WriteString(" triage-cleared")
 	}
-	if e.Shed {
-		b.WriteString(" decode-shed")
-	}
 	if e.Trace != "" {
 		fmt.Fprintf(&b, " trace=%s", e.Trace)
 	}

@@ -1,12 +1,15 @@
 // Tests for the pool's submission-time cache path: hits complete on
 // the submitting goroutine, never queue and never shed, and every
-// request is counted exactly once. Coordination is by channels and the
-// worker-pinning pattern of TestPoolShedIsDeterministic, never sleeps.
+// request is counted exactly once. The content verdict the pool serves
+// does not depend on its load, and its trace and journal event repeat
+// it. Coordination is by channels and the worker-pinning pattern of
+// TestPoolShedIsDeterministic, never sleeps.
 package server
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,21 +261,20 @@ func TestPoolCountsEachRequestOnce(t *testing.T) {
 	}
 }
 
-// TestPoolShedVerdictNotCached: a content verdict reached at a decode
-// depth shed under load must not outlive that load. A gzip-wrapped worm
-// dequeued while the queue is nearly full is scanned raw only and
-// answered benign; once the queue is idle, the same bytes are scanned
-// again at full depth and caught instead of being served from the
-// cache.
-func TestPoolShedVerdictNotCached(t *testing.T) {
+// TestPoolContentVerdictIgnoresLoad: a content verdict depends on the
+// payload alone. A gzip-wrapped worm dequeued while the queue is nearly
+// full is peeled to full depth and caught like at idle; the verdict is
+// cached, so the follow-up DoContent is a hit with the same verdict,
+// and the journal keeps the malicious event.
+func TestPoolContentVerdictIgnoresLoad(t *testing.T) {
 	det := newTestDetector(t)
 	pipe, err := content.NewPipeline(det.ScanTraced, content.PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const queue = 20
-	// The journal keeps one benign event in a thousand: only a
-	// verdict's own interest (Shed) can keep it.
+	// The journal keeps one benign event in a thousand: only the
+	// verdict's own interest (Malicious) can keep it.
 	j := events.New(events.Config{Capacity: 64, Shards: 1, SampleEvery: 1000})
 	pool, err := NewPool(PoolConfig{Detector: det, Workers: 1, QueueDepth: queue, CacheSize: 64, Content: pipe, Events: j})
 	if err != nil {
@@ -287,8 +289,7 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 	wrapped := content.EncodeGzip(append(append([]byte{}, ps[0][:500]...), worm.Bytes...))
 
 	// Pin the worker, then queue the worm ahead of queue-1 fillers. The
-	// worker takes the worm with the occupancy at (queue-1)/queue = 0.95,
-	// where the pipeline sheds decode to depth 0.
+	// worker takes the worm with the occupancy at (queue-1)/queue = 0.95.
 	release, pinnedDone := pinWorker(t, pool, ps[0])
 	type result struct {
 		v      core.Verdict
@@ -311,25 +312,136 @@ func TestPoolShedVerdictNotCached(t *testing.T) {
 	close(release)
 	<-pinnedDone
 	r := <-first
-	if r.err != nil || r.cached || r.v.Malicious || !r.v.Shed {
-		t.Fatalf("worm under load = (%+v, cached=%v, %v), want a fresh benign verdict marked Shed", r.v, r.cached, r.err)
+	if r.err != nil || r.cached || !r.v.Malicious || r.v.DecodeChain != "gzip" {
+		t.Fatalf("worm under load = (%+v, cached=%v, %v), want a fresh malicious gzip verdict", r.v, r.cached, r.err)
 	}
 	fillers.Wait()
-	var shedKept int
+	var kept int
 	for _, e := range j.Snapshot(0) {
-		if e.Shed {
-			shedKept++
-			if !e.Content || e.Malicious || e.Cause != events.CauseOK {
-				t.Fatalf("shed verdict journaled as %+v, want a benign content verdict", e)
+		if e.Malicious {
+			kept++
+			if !e.Content || e.DecodeChain != "gzip" || e.Cause != events.CauseOK {
+				t.Fatalf("worm journaled as %+v, want a malicious gzip content verdict", e)
 			}
 		}
 	}
-	if shedKept != 1 {
-		t.Fatalf("journal kept %d shed verdicts, want 1", shedKept)
+	if kept != 1 {
+		t.Fatalf("journal kept %d malicious verdicts, want 1", kept)
 	}
 
 	v, cached, err := pool.DoContent(context.Background(), wrapped)
-	if err != nil || cached || !v.Malicious || v.Shed || v.DecodeChain != "gzip" {
-		t.Fatalf("worm at idle = (%+v, cached=%v, %v), want a fresh malicious gzip verdict", v, cached, err)
+	if err != nil || !cached || v != r.v {
+		t.Fatalf("worm at idle = (%+v, cached=%v, %v), want the cached %+v", v, cached, err, r.v)
+	}
+}
+
+// servedFields are the verdict fields a trace and a journal event
+// repeat from the served verdict.
+type servedFields struct {
+	MEL           int
+	Threshold     float64
+	Malicious     bool
+	Cached        bool
+	ViewIndex     int
+	DecodeChain   string
+	TriageScore   float64
+	TriageCleared bool
+}
+
+// TestPoolTraceMatchesVerdict: the pool is the one layer that joins a
+// verdict to its trace, so every recorded trace carries the served
+// content verdict and agrees with its journal event. Benign bodies
+// behind two layers are the sharp case: their decoded views are
+// scanned too, and a view's MEL and τ must not stand in for the raw
+// payload's.
+func TestPoolTraceMatchesVerdict(t *testing.T) {
+	det := newTestDetector(t)
+	pipe, err := content.NewPipeline(det.ScanTraced, content.PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tracing.NewRecorder(tracing.RecorderConfig{Recent: 256, Shards: 1})
+	j := events.New(events.Config{Capacity: 256, Shards: 1, SampleEvery: 1})
+	pool, err := NewPool(PoolConfig{Detector: det, Workers: 1, CacheSize: 256, Content: pipe, Recorder: rec, Events: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	worm, err := encoder.Encode(shellcode.Execve().Code, encoder.Options{Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := hitPathPayloads(t, 5, 40)
+	wormBody := content.EncodeGzip(append(append([]byte{}, texts[0][:500]...), worm.Bytes...))
+	plain, err := corpus.Dataset(3, 1, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type request struct {
+		name string
+		body []byte
+	}
+	var reqs []request
+	for i, text := range texts {
+		reqs = append(reqs,
+			request{fmt.Sprintf("base64(gzip(text %d))", i), content.EncodeBase64(content.EncodeGzip(text))},
+			request{fmt.Sprintf("gzip(base64(text %d))", i), content.EncodeGzip(content.EncodeBase64(text))})
+	}
+	reqs = append(reqs, request{"gzip(worm)", wormBody}, request{"plain text", plain[0].Data}, request{"gzip(worm) again", wormBody})
+
+	type servedReq struct {
+		name string
+		v    core.Verdict
+		want servedFields
+	}
+	var served []servedReq
+	for _, r := range reqs {
+		v, cached, err := pool.DoContent(context.Background(), r.body)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if v.TraceID.IsZero() {
+			t.Fatalf("%s: verdict carries no trace id", r.name)
+		}
+		served = append(served, servedReq{r.name, v, servedFields{v.MEL, v.Threshold, v.Malicious, cached,
+			v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared}})
+	}
+	if w := served[len(served)-3].want; !w.Malicious || w.DecodeChain != "gzip" {
+		t.Fatalf("gzip(worm) = %+v, want a malicious gzip verdict", w)
+	}
+	if w := served[len(served)-2].want; !w.TriageCleared {
+		t.Fatalf("plain text = %+v, want cleared by triage", w)
+	}
+	if w := served[len(served)-1].want; !w.Cached {
+		t.Fatalf("gzip(worm) again = %+v, want a cache hit", w)
+	}
+
+	traces := make(map[tracing.TraceID]*tracing.Trace)
+	for _, tr := range rec.Recent(0) {
+		traces[tr.ID] = tr
+	}
+	evs := make(map[tracing.TraceID]events.Event)
+	for _, e := range j.Snapshot(0) {
+		evs[e.TraceID] = e
+	}
+	for _, s := range served {
+		tr, ok := traces[s.v.TraceID]
+		if !ok {
+			t.Fatalf("%s: trace %s not recorded", s.name, s.v.TraceID)
+		}
+		got := servedFields{tr.MEL, tr.Threshold, tr.Malicious, tr.Cached,
+			tr.ViewIndex, tr.DecodeChain, tr.TriageScore, tr.TriageCleared}
+		if got != s.want {
+			t.Errorf("%s: trace %+v, served %+v", s.name, got, s.want)
+		}
+		e, ok := evs[s.v.TraceID]
+		if !ok {
+			t.Fatalf("%s: no journal event for trace %s", s.name, s.v.TraceID)
+		}
+		got = servedFields{e.MEL, e.Threshold, e.Malicious, e.Cached,
+			e.ViewIndex, e.DecodeChain, e.TriageScore, e.TriageCleared}
+		if got != s.want {
+			t.Errorf("%s: journal event %+v, served %+v", s.name, got, s.want)
+		}
 	}
 }

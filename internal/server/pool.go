@@ -63,10 +63,9 @@ type PoolConfig struct {
 	OnVerdict func(core.Verdict)
 	// Content, when set, enables the content scan path: content scans
 	// run through this triage → decode → MEL pipeline instead of the
-	// bare detector, and the pool publishes its queue occupancy as the
-	// pipeline's load-pressure signal so decode depth sheds before any
-	// scan is dropped. The pipeline should be built around the same
-	// detector (its verdict cache assumptions carry over).
+	// bare detector, always at the pipeline's full decode depth. The
+	// pipeline should be built around the same detector (its verdict
+	// cache assumptions carry over).
 	Content *content.Pipeline
 	// Events, when set, journals one wide event per submission outcome —
 	// served verdicts, sheds, deadline expiries, scan failures — into
@@ -279,7 +278,6 @@ func (p *Pool) enqueue(ctx context.Context, j *job) error {
 	if ctx == nil {
 		select {
 		case p.jobs <- *j:
-			p.publishPressure()
 			return nil
 		default:
 			p.m.depth.Dec()
@@ -290,7 +288,6 @@ func (p *Pool) enqueue(ctx context.Context, j *job) error {
 	}
 	select {
 	case p.jobs <- *j:
-		p.publishPressure()
 		return nil
 	case <-ctx.Done():
 		p.m.depth.Dec()
@@ -329,10 +326,9 @@ func (p *Pool) expired(j *job, now time.Time) bool {
 }
 
 // lookup hashes j's payload into j.key and probes the verdict cache,
-// timing both as the cache stage. On a hit the verdict is served —
-// counted, traced, recorded — and returned for the caller to deliver;
-// a miss is not counted here (cache_misses_total counts the scans
-// that run).
+// timing both as the cache stage. On a hit the verdict is served
+// (finish) and returned for the caller to deliver; a miss is not
+// counted here (cache_misses_total counts the scans that run).
 //
 //mel:hotpath
 func (p *Pool) lookup(j *job) (core.Verdict, bool) {
@@ -346,25 +342,7 @@ func (p *Pool) lookup(j *job) (core.Verdict, bool) {
 	if !ok {
 		return core.Verdict{}, false
 	}
-	return p.serveHit(j, v), true
-}
-
-// serveHit does a cache hit's bookkeeping: the hit counter, the trace's
-// verdict fields (and its own id on the returned verdict), then finish.
-//
-//mel:hotpath
-func (p *Pool) serveHit(j *job, v core.Verdict) core.Verdict {
-	p.m.hits.Inc()
-	if tr := j.tr; tr != nil {
-		tr.SetCached(true)
-		tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
-		if j.content {
-			tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
-		}
-		v.TraceID = tr.ID
-	}
-	p.finish(j, v, true)
-	return v
+	return p.finish(j, v, true), true
 }
 
 // jobEvent builds the wide event for a job that was served, failed or
@@ -403,7 +381,6 @@ func (p *Pool) jobEvent(j *job, v core.Verdict, cached bool, cause events.Cause)
 			e.DecodeChain = v.DecodeChain
 			e.TriageScore = v.TriageScore
 			e.TriageCleared = v.TriageCleared
-			e.Shed = v.Shed
 		}
 	}
 	return e
@@ -420,18 +397,6 @@ func (p *Pool) recordJobEvent(j *job, v core.Verdict, cached bool, cause events.
 	}
 	e := p.jobEvent(j, v, cached, cause)
 	p.journal.Record(&e)
-}
-
-// publishPressure feeds the queue occupancy to the content pipeline's
-// load-shed policy: as the queue fills, decode depth drops before any
-// scan is dropped.
-//
-//mel:hotpath
-func (p *Pool) publishPressure() {
-	if p.pipe == nil {
-		return
-	}
-	p.pipe.SetPressure(float64(len(p.jobs)) / float64(cap(p.jobs)))
 }
 
 // autoTrace opens a fresh trace when the pool records traces, nil
@@ -531,7 +496,6 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
 		p.m.depth.Dec()
-		p.publishPressure()
 		p.slots <- struct{}{}
 		v, cached, err := p.serve(&j)
 		<-p.slots
@@ -550,7 +514,7 @@ func (p *Pool) serve(j *job) (core.Verdict, bool, error) {
 	}
 	if p.cache != nil {
 		if v, ok := p.cache.get(j.key); ok {
-			return p.serveHit(j, v), true, nil
+			return p.finish(j, v, true), true, nil
 		}
 	}
 	v, err := p.scan(j)
@@ -578,16 +542,10 @@ func (p *Pool) scan(j *job) (core.Verdict, error) {
 		p.fail(j, wrapped, events.CauseScanError)
 		return core.Verdict{}, wrapped
 	}
-	if p.cache != nil && !v.Shed {
-		// The cached copy must not leak this request's trace id into
-		// future hits; each hit stamps its own. A shed verdict is not
-		// cached: it would outlive the load that cut its decode depth.
-		cv := v
-		cv.TraceID = tracing.TraceID{}
-		p.cache.put(j.key, cv)
+	if p.cache != nil {
+		p.cache.put(j.key, v)
 	}
-	p.finish(j, v, false)
-	return v, nil
+	return p.finish(j, v, false), nil
 }
 
 // fail records j's failure with err — a refusal, an expiry, or a scan
@@ -602,13 +560,19 @@ func (p *Pool) fail(j *job, err error, cause events.Cause) {
 	p.recordJobEvent(j, core.Verdict{}, false, cause)
 }
 
-// finish records a served verdict; the caller delivers it to done.
-// The trace is finished and recorded (and its id attached to the
-// latency histogram as an exemplar) before done runs, so a client that
-// immediately queries /debug/traces sees its own request.
+// finish serves v, a scan's verdict or a cache hit's, and returns it
+// with the trace id set for the caller to deliver to done. It is the
+// one place a verdict is joined to its trace: the served verdict's
+// fields are set on the trace, which is then finished and recorded (and
+// its id attached to the latency histogram as an exemplar) before done
+// runs, so a client that immediately queries /debug/traces sees its own
+// request, and the trace, the journal event and the response agree.
 //
 //mel:hotpath
-func (p *Pool) finish(j *job, v core.Verdict, cached bool) {
+func (p *Pool) finish(j *job, v core.Verdict, cached bool) core.Verdict {
+	if cached {
+		p.m.hits.Inc()
+	}
 	p.m.scans.Inc()
 	p.m.bytes.Add(uint64(len(j.payload)))
 	if v.Malicious {
@@ -617,10 +581,16 @@ func (p *Pool) finish(j *job, v core.Verdict, cached bool) {
 		p.m.benign.Inc()
 	}
 	lat := time.Since(j.enqueued).Seconds()
-	if j.tr != nil {
-		j.tr.Finish()
-		p.rec.Record(j.tr)
-		p.m.latency.ObserveExemplar(lat, j.tr.ID)
+	if tr := j.tr; tr != nil {
+		tr.SetVerdict(v.MEL, v.Threshold, v.Malicious)
+		tr.SetCached(cached)
+		if j.content {
+			tr.SetContent(v.ViewIndex, v.DecodeChain, v.TriageScore, v.TriageCleared)
+		}
+		v.TraceID = tr.ID
+		tr.Finish()
+		p.rec.Record(tr)
+		p.m.latency.ObserveExemplar(lat, tr.ID)
 	} else {
 		p.m.latency.Observe(lat)
 	}
@@ -628,6 +598,7 @@ func (p *Pool) finish(j *job, v core.Verdict, cached bool) {
 		p.onVerdict(v)
 	}
 	p.recordJobEvent(j, v, cached, events.CauseOK)
+	return v
 }
 
 // Queue reports the job queue's current depth and capacity — the

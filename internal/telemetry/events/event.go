@@ -111,10 +111,6 @@ type Event struct {
 	DecodeChain   string
 	TriageScore   float64
 	TriageCleared bool
-	// Shed marks a served verdict reached at a decode depth load
-	// shedding cut: views past the cut went unscanned, so the verdict
-	// holds only for that load.
-	Shed bool
 	// Cause classifies the outcome; CauseOK for served verdicts.
 	Cause Cause
 	// Stages are the per-stage durations, indexed by tracing.Stage;
@@ -145,7 +141,6 @@ const (
 	flagCached
 	flagContent
 	flagTriageCleared
-	flagShed
 )
 
 // encode packs the event into the slot word layout. Everything is
@@ -179,9 +174,6 @@ func (e *Event) encode(w *[slotWords]uint64) {
 	}
 	if e.TriageCleared {
 		flags |= flagTriageCleared
-	}
-	if e.Shed {
-		flags |= flagShed
 	}
 	chain := e.DecodeChain
 	if len(chain) > ChainBytes {
@@ -219,7 +211,6 @@ func decode(w *[slotWords]uint64) Event {
 	e.Cached = flags&flagCached != 0
 	e.Content = flags&flagContent != 0
 	e.TriageCleared = flags&flagTriageCleared != 0
-	e.Shed = flags&flagShed != 0
 	e.Cause = Cause(flags >> 8 & 0xff)
 	for s := 0; s < tracing.NumStages; s++ {
 		e.Stages[s] = time.Duration(int64(w[wordStage0+s]))
@@ -235,11 +226,10 @@ func decode(w *[slotWords]uint64) Event {
 }
 
 // Interesting reports whether the event bypasses the benign fast-path
-// sampler: worm verdicts, verdicts reached at a shed decode depth,
-// failures of any cause, and anything at or over the slow threshold
-// are always journaled.
+// sampler: worm verdicts, failures of any cause, and anything at or
+// over the slow threshold are always journaled.
 //
 //mel:hotpath
 func (e *Event) interesting(slow time.Duration) bool {
-	return e.Malicious || e.Shed || e.Cause != CauseOK || e.Total >= slow
+	return e.Malicious || e.Cause != CauseOK || e.Total >= slow
 }

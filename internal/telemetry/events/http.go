@@ -26,7 +26,6 @@ type EventJSON struct {
 	DecodeChain   string              `json:"decode_chain,omitempty"`
 	TriageScore   float64             `json:"triage_score,omitempty"`
 	TriageCleared bool                `json:"triage_cleared,omitempty"`
-	Shed          bool                `json:"shed,omitempty"`
 	Cause         string              `json:"cause"`
 	Stages        []tracing.StageJSON `json:"stages,omitempty"`
 }
@@ -53,7 +52,6 @@ func JSON(e *Event) EventJSON {
 		out.DecodeChain = e.DecodeChain
 		out.TriageScore = e.TriageScore
 		out.TriageCleared = e.TriageCleared
-		out.Shed = e.Shed
 	}
 	for s := tracing.Stage(0); int(s) < tracing.NumStages; s++ {
 		if e.Stages[s] < 0 {

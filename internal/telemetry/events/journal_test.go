@@ -45,7 +45,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e.DecodeChain = "base64>gzip"
 	e.TriageScore = 0.75
 	e.TriageCleared = true
-	e.Shed = true
 	e.Cause = CauseScanError
 	var w [slotWords]uint64
 	e.encode(&w)
@@ -94,12 +93,10 @@ func TestSamplingPolicy(t *testing.T) {
 	if got := j.SampledOut(); got != 30 {
 		t.Fatalf("sampled out %d, want 30", got)
 	}
-	// Interesting events always land: slow, malicious, a verdict reached
-	// at a shed decode depth, every failure cause.
+	// Interesting events always land: slow, malicious, every failure cause.
 	interesting := []func(*Event){
 		func(e *Event) { e.Total = 2 * time.Second },
 		func(e *Event) { e.Malicious = true },
-		func(e *Event) { e.Content, e.Shed = true, true },
 		func(e *Event) { e.Cause = CauseShed },
 		func(e *Event) { e.Cause = CauseDeadline },
 		func(e *Event) { e.Cause = CauseScanError },

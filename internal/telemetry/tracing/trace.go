@@ -143,7 +143,10 @@ type Trace struct {
 	// Bytes is the scanned payload length.
 	Bytes int
 
-	// Verdict summary, filled as the scan resolves.
+	// Verdict summary: the served verdict's fields, set once by the
+	// scan pool just before Finish (the detector and the content
+	// pipeline only time stages), so a recorded trace agrees with the
+	// response and the journal event.
 	MEL       int
 	Threshold float64
 	Malicious bool
@@ -238,9 +241,9 @@ func (t *Trace) SetVerdict(mel int, threshold float64, malicious bool) {
 
 // SetContent records the content-pipeline outcome: which decoded view
 // the verdict came from, the decode chain that produced it, the triage
-// suspicion score, and whether triage cleared the scan outright. Not a
-// hot-path call — it runs once per pipeline scan, outside the per-view
-// loop, and the chain string is built by the caller.
+// suspicion score, and whether triage cleared the scan outright. It
+// runs once per served content verdict, and the chain string is built
+// by the caller.
 func (t *Trace) SetContent(viewIndex int, chain string, score float64, cleared bool) {
 	if t == nil {
 		return
