@@ -1,7 +1,13 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet lint lint-strict verify verify-quick ci bench bench-engine bench-smoke bench-guard race fuzz report cover clean
+# FUZZMINTIME bounds how long a fuzz run spends minimizing each new
+# interesting input. Unbounded (60 s each), a target whose coverage
+# keeps growing, like FuzzDecodeViews with its MEL verdict leg, spends
+# a 10 s smoke minimizing instead of fuzzing.
+FUZZMINTIME := 100x
+
+.PHONY: all build test vet lint lint-strict verify verify-quick ci bench bench-engine bench-pair race fuzz report cover clean
 
 all: build vet test
 
@@ -64,46 +70,40 @@ test:
 	$(GO) test -race ./...
 
 # ci is the full gate a commit must pass: compile, vet, the analyzer
-# suite (failing on any non-baselined finding), the race-enabled tests
-# — which include the lint framework's own tests and the self-hosting
-# TestRepoIsClean gate — short fuzz smokes over the wire codec, the
-# client's response reader (arbitrary response streams against pending
-# calls), the content decoder (whose fuzz target checks Views against the reference
-# peelers), the scan core (fused and traced scans, stream windows
-# and ScanReference against each other), the detector (verdict fields
-# consistent on any payload) and the x86 spec decoder that
-# serves every offset the scan core's tables leave unresolved, and the
-# bench guard, which
-# fails the gate outright if the engine regressed against the committed
-# BENCH_engine.json.
+# suite (failing on any non-baselined finding), the exhaustive prover
+# within its budget, the race-enabled tests — which include the lint
+# framework's own tests and the self-hosting TestRepoIsClean gate —
+# short fuzz smokes over the wire codec, the client's response reader
+# (arbitrary response streams against pending calls), the content
+# decoder (whose fuzz target checks Views against the reference
+# peelers), the scan core (fused and traced scans, stream windows and
+# ScanReference against each other), the detector (verdict fields
+# consistent on any payload) and the x86 spec decoder that serves every
+# offset the scan core's tables leave unresolved, and the paired bench
+# gate, which fails if the change is slower than its parent commit on
+# the same host, or allocates more.
 ci: build vet lint verify
 	$(GO) test -race ./...
-	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s ./internal/server/
-	$(GO) test -run NONE -fuzz FuzzClientFrames -fuzztime 10s ./internal/server/client/
-	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s ./internal/content/
-	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s ./internal/mel/
-	$(GO) test -run NONE -fuzz FuzzScan -fuzztime 10s ./internal/core/
-	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/x86/
-	$(MAKE) bench-guard
+	$(GO) test -run NONE -fuzz FuzzWire -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzClientFrames -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/server/client/
+	$(GO) test -run NONE -fuzz FuzzDecodeViews -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/content/
+	$(GO) test -run NONE -fuzz FuzzScanDifferential -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/mel/
+	$(GO) test -run NONE -fuzz FuzzScan -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/core/
+	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime $(FUZZMINTIME) ./internal/x86/
+	$(MAKE) bench-pair
 
-# bench-smoke runs the engine benchmark once with the JSON artifact
-# suppressed — a CI canary, not a BENCH_engine.json refresh — and then
-# checks the exhaustive verify pass still fits its runtime budget: the
-# -verify-budget flag makes the prover itself fail (incomplete
-# enumeration is a finding) if the full space no longer fits in ~30s.
-bench-smoke:
-	$(GO) run ./cmd/melbench -exp engine -benchout ""
-	$(GO) run ./cmd/mellint -verify -verify-budget 30s -baseline lint.baseline ./...
-
-# bench-guard re-measures the engine and content-pipeline benchmarks
-# and exits nonzero if any ns/op, divided by the same run's frozen
-# ScanReference (engine_scan_reference_4k), regressed more than 20%
-# against the same ratio in the committed BENCH_engine.json and
-# BENCH_content.json — or any allocs/op rose. Judging the ratio keeps a
-# uniformly slower host from reading as a regression. A failing first
-# pass is re-measured once and judged on the better run.
-bench-guard:
-	$(GO) run ./cmd/melbench -exp guard
+# bench-pair is the paired bench gate. It builds cmd/melbench at the
+# parent commit (HEAD when tracked files differ from it, else HEAD~1,
+# checked out into a temporary git worktree) and from the working tree,
+# runs the engine and content benchmarks in ten alternating
+# parent/change pairs on this host, and fails if an entry's ns/op is
+# higher in nine of ten pairs with a median delta above the parent's
+# own interquartile range, or if every change run allocates more per
+# op than every parent run. BENCH_engine.json and
+# BENCH_content.json are records written by bench-engine and
+# `melbench -exp content`; no gate reads them.
+bench-pair:
+	$(GO) run ./cmd/melbench -exp pair
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/proxy/ ./internal/server/... ./internal/telemetry/events/ ./internal/telemetry/anomaly/
@@ -115,12 +115,12 @@ bench-engine:
 	$(GO) run ./cmd/melbench -exp engine
 
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/x86/
-	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/core/
-	$(GO) test -run NONE -fuzz=FuzzScanDifferential -fuzztime=30s ./internal/mel/
-	$(GO) test -run NONE -fuzz=FuzzDecodeViews -fuzztime=30s ./internal/content/
-	$(GO) test -run NONE -fuzz=FuzzWire -fuzztime=30s ./internal/server/
-	$(GO) test -run NONE -fuzz=FuzzClientFrames -fuzztime=30s ./internal/server/client/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/x86/
+	$(GO) test -fuzz=FuzzScan -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/core/
+	$(GO) test -run NONE -fuzz=FuzzScanDifferential -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/mel/
+	$(GO) test -run NONE -fuzz=FuzzDecodeViews -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/content/
+	$(GO) test -run NONE -fuzz=FuzzWire -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/server/
+	$(GO) test -run NONE -fuzz=FuzzClientFrames -fuzztime=30s -fuzzminimizetime=$(FUZZMINTIME) ./internal/server/client/
 
 report:
 	$(GO) run ./cmd/melbench -exp all | tee report.txt

@@ -22,15 +22,21 @@
 //	melbench -exp sizes    ablation: input-size scaling of n and tau
 //	melbench -exp exploit  end-to-end exploit chain vs the vulnerable service
 //	melbench -exp engine   scan-engine throughput; writes BENCH_engine.json
-//	melbench -exp guard    engine+content bench vs committed artifacts, ns/op relative to ScanReference; fails on regression
 //	melbench -exp content  content pipeline triage/decode bench; writes BENCH_content.json
+//	melbench -exp pair     engine+content bench, parent commit vs working tree in alternating pairs; fails on regression
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"os/signal"
+	"slices"
+	"strings"
+	"syscall"
 
 	"repro/internal/experiments"
 )
@@ -44,18 +50,12 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("melbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (all, fig1n, fig1p, chisq, approx, fig2, params, fig3, detect, av, binary, ape, xor, payl, rules, alpha, styles, sizes, textops)")
 	seed := fs.Uint64("seed", experiments.DefaultSeed, "corpus/simulation seed")
 	rounds := fs.Int("rounds", 10000, "Monte-Carlo rounds for Figure 1")
 	cases := fs.Int("cases", experiments.DefaultCases, "benign cases for detection experiments")
 	worms := fs.Int("worms", experiments.DefaultWorms, "text worms for detection experiments")
 	benchOut := fs.String("benchout", "BENCH_engine.json", "engine benchmark artifact path (empty to skip the file)")
-	guardBase := fs.String("guardbase", "BENCH_engine.json", "committed artifact the guard experiment compares against")
 	contentOut := fs.String("contentout", "BENCH_content.json", "content benchmark artifact path (empty to skip the file)")
-	guardContent := fs.String("guardcontent", "BENCH_content.json", "committed content artifact the guard compares against (empty to skip)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
 	runners := map[string]func() error{
 		"fig1n": func() error {
 			_, err := experiments.Fig1VaryN(w, *rounds, *seed)
@@ -133,21 +133,22 @@ func run(args []string, w io.Writer) error {
 			_, err := experiments.EngineBench(w, *benchOut, *seed)
 			return err
 		},
-		"guard": func() error {
-			if err := experiments.BenchGuard(w, *guardBase, *seed); err != nil {
-				return err
-			}
-			if *guardContent == "" {
-				return nil
-			}
-			return experiments.ContentGuard(w, *guardContent, *guardBase, *seed)
-		},
 		"content": func() error {
 			_, err := experiments.ContentBench(w, *contentOut, *seed)
 			return err
 		},
+		"pair": func() error {
+			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+			defer stop()
+			return benchPair(ctx, w)
+		},
 	}
 	runners["detect"] = runners["fig3"]
+	ids := slices.Sorted(maps.Keys(runners))
+	exp := fs.String("exp", "all", "experiment id (all, "+strings.Join(ids, ", ")+")")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *exp == "all" {
 		order := []string{"fig1n", "fig1p", "chisq", "approx", "fig2", "params",

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,8 +44,55 @@ func TestReducedFig1(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "bogus"}, io.Discard); err == nil {
-		t.Error("unknown experiment should fail")
+	// guard was the committed-artifact bench gate, replaced by pair.
+	for _, exp := range []string{"bogus", "guard"} {
+		if err := run([]string{"-exp", exp}, io.Discard); err == nil {
+			t.Errorf("unknown experiment %q should fail", exp)
+		}
+	}
+}
+
+// TestPairParent pins how the paired gate picks its parent from git
+// state: HEAD~1 on a clean tree, HEAD when a tracked file differs, and
+// an error when the wanted commit does not exist.
+func TestPairParent(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	commit := func(content string) string {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "f"), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"add", "f"}, {"-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", content}} {
+			if _, err := git(ctx, dir, args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rev, err := git(ctx, dir, "rev-parse", "HEAD")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rev
+	}
+	if _, err := git(ctx, dir, "init", "-q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pairParent(ctx, dir); err == nil {
+		t.Error("a repository without commits has no parent")
+	}
+	first := commit("1")
+	if rev, err := pairParent(ctx, dir); err == nil {
+		t.Errorf("clean root commit: parent %s, want an error", rev)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte("edited"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rev, err := pairParent(ctx, dir); err != nil || rev != first {
+		t.Errorf("edited tree: parent %s, %v; want HEAD %s", rev, err, first)
+	}
+	commit("2")
+	if rev, err := pairParent(ctx, dir); err != nil || rev != first {
+		t.Errorf("clean tree: parent %s, %v; want HEAD~1 %s", rev, err, first)
 	}
 }
 

@@ -11,12 +11,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/encoder"
-	"repro/internal/mel"
 	"repro/internal/shellcode"
 )
 
 // ContentBenchReport is the BENCH_content.json artifact: the content
-// pipeline's cost and effectiveness on mixed traffic, tracked across
+// pipeline's cost and effectiveness on mixed traffic, recorded across
 // PRs alongside BENCH_engine.json.
 type ContentBenchReport struct {
 	Workload string              `json:"workload"`
@@ -231,24 +230,4 @@ func contentBenchN(w io.Writer, outPath string, seed uint64, nCases int) (Conten
 	}
 	fmt.Fprintln(w)
 	return report, nil
-}
-
-// ContentGuard re-measures the content benchmarks and fails if any
-// regressed against the committed BENCH_content.json artifact, under
-// the same rules as the engine guard: ns/op as a multiple of a
-// ScanReference measured in the same run, against the committed
-// content ns/op as a multiple of the ScanReference committed in
-// enginePath; allocs/op may not rise.
-func ContentGuard(w io.Writer, committedPath, enginePath string, seed uint64) error {
-	return guardBench(w, committedPath, enginePath, func() ([]EngineBenchResult, error) {
-		report, err := ContentBench(w, "", seed)
-		if err != nil {
-			return nil, err
-		}
-		_, benign, err := engineCases(seed)
-		if err != nil {
-			return nil, err
-		}
-		return append(report.Results, referenceResult(mel.NewEngine(mel.DAWN()), benign)), nil
-	})
 }

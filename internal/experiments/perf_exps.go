@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,8 +16,7 @@ import (
 	"repro/internal/encoder"
 	"repro/internal/mel"
 	"repro/internal/shellcode"
-	"repro/internal/telemetry/events"
-	"repro/internal/telemetry/tracing"
+	"repro/internal/stats"
 )
 
 // EngineBenchResult is one measured scan configuration.
@@ -27,26 +29,14 @@ type EngineBenchResult struct {
 }
 
 // EngineBenchReport is the BENCH_engine.json artifact: the engine's perf
-// trajectory, tracked across PRs. SpeedupSequential is the optimized
+// trajectory, recorded across PRs. SpeedupSequential is the optimized
 // engine's ns/op improvement over the retained seed implementation on
-// the default-rules 4 KB benign scan. TracingOverhead is the relative
-// ns/op cost of running that same scan with a live per-scan trace
-// (traced/untraced − 1); the observability budget holds it under 5%.
+// the default-rules 4 KB benign scan.
 type EngineBenchReport struct {
 	Workload          string              `json:"workload"`
 	Results           []EngineBenchResult `json:"results"`
 	SpeedupSequential float64             `json:"speedup_sequential"`
-	TracingOverhead   float64             `json:"tracing_overhead"`
-	// EventsOverhead is the additional relative cost of journaling every
-	// scan as a wide event on top of the traced path (events/traced − 1);
-	// like tracing, the budget holds it under 5%.
-	EventsOverhead float64 `json:"events_overhead"`
 }
-
-// referenceName is the frozen ScanReference benchmark. The bench guard
-// judges every other ns/op as a multiple of it, measured in the same
-// run, so a uniformly slower host does not read as a regression.
-const referenceName = "engine_scan_reference_4k"
 
 // benchResult runs f under testing.Benchmark and reports it as name,
 // with throughput over nbytes per op.
@@ -66,37 +56,16 @@ func benchResult(name string, nbytes int, f func(b *testing.B)) EngineBenchResul
 	}
 }
 
-// engineCases are the engine benchmarks' inputs: eight 4 KB text cases
-// and, cut from the first, the benign case ScanReference is timed on.
-func engineCases(seed uint64) (cases []corpus.Case, benign []byte, err error) {
-	cases, err = corpus.Dataset(seed, 8, 4096)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cases, cases[0].Data[:4000], nil
-}
-
-// referenceResult measures ScanReference on benign.
-func referenceResult(eng *mel.Engine, benign []byte) EngineBenchResult {
-	return benchResult(referenceName, len(benign), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.ScanReference(benign); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // EngineBench measures MEL-engine scan throughput — optimized engine vs
 // the retained reference, plus the worm positive case and the windowed
 // stream path — and writes the JSON artifact to outPath ("" skips the
 // file).
 func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, error) {
-	cases, benign, err := engineCases(seed)
+	cases, err := corpus.Dataset(seed, 8, 4096)
 	if err != nil {
 		return EngineBenchReport{}, err
 	}
+	benign := cases[0].Data[:4000]
 
 	worm, err := encoder.Encode(shellcode.Execve().Code, encoder.Options{Seed: seed})
 	if err != nil {
@@ -120,50 +89,12 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 			}
 		}
 	})
-	reference := referenceResult(eng, benign)
-	rec := tracing.NewRecorder(tracing.RecorderConfig{})
-	traced := benchResult("engine_scan_traced_4k", len(benign), func(b *testing.B) {
+	reference := benchResult("engine_scan_reference_4k", len(benign), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// The full per-scan tracing cost as the server pays it: trace
-			// allocation, timed stages, finish, and recorder publish.
-			tr := tracing.New(tracing.TraceID{}, len(benign))
-			if _, err := eng.ScanTraced(benign, tr); err != nil {
+			if _, err := eng.ScanReference(benign); err != nil {
 				b.Fatal(err)
 			}
-			tr.Finish()
-			rec.Record(tr)
-		}
-	})
-	// The events path is the traced path plus a wide-event journal write
-	// per scan: what the server's hot path pays with -events enabled.
-	// SampleEvery 1 defeats the benign sampler, so this is the worst
-	// case — every scan encodes and publishes.
-	journal := events.New(events.Config{Capacity: events.DefaultCapacity, SampleEvery: 1})
-	eventsRes := benchResult("engine_scan_events_4k", len(benign), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := tracing.New(tracing.TraceID{}, len(benign))
-			res, err := eng.ScanTraced(benign, tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr.Finish()
-			rec.Record(tr)
-			ev := events.Event{
-				StartUnixNs: tr.Start.UnixNano(),
-				Total:       tr.Total(),
-				Bytes:       len(benign),
-				MEL:         res.MEL,
-				ViewIndex:   -1,
-			}
-			// Spread the shard hash as real trace ids would.
-			ev.TraceID[15] = byte(i)
-			ev.TraceID[14] = byte(i >> 8)
-			for s := 0; s < tracing.NumStages; s++ {
-				ev.Stages[s] = tr.StageDur(tracing.Stage(s))
-			}
-			journal.Record(&ev)
 		}
 	})
 	wormRes := benchResult("engine_scan_worm_4k", len(wormCase), func(b *testing.B) {
@@ -232,13 +163,9 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 		}
 	})
 
-	report.Results = []EngineBenchResult{optimized, reference, traced, eventsRes, wormRes, big64Res, mixedRes, streamRes}
+	report.Results = []EngineBenchResult{optimized, reference, wormRes, big64Res, mixedRes, streamRes}
 	if optimized.NsPerOp > 0 {
 		report.SpeedupSequential = reference.NsPerOp / optimized.NsPerOp
-		report.TracingOverhead = traced.NsPerOp/optimized.NsPerOp - 1
-	}
-	if traced.NsPerOp > 0 {
-		report.EventsOverhead = eventsRes.NsPerOp/traced.NsPerOp - 1
 	}
 
 	fmt.Fprintln(w, "E19: engine scan throughput (4 KB cases, DAWN rules)")
@@ -247,8 +174,6 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 			r.Name, r.NsPerOp, r.MBPerSec, r.AllocsPerOp)
 	}
 	fmt.Fprintf(w, "  sequential speedup vs reference: %.2fx\n", report.SpeedupSequential)
-	fmt.Fprintf(w, "  tracing overhead: %.2f%%\n", report.TracingOverhead*100)
-	fmt.Fprintf(w, "  events overhead: %.2f%%\n", report.EventsOverhead*100)
 
 	if outPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")
@@ -264,140 +189,87 @@ func EngineBench(w io.Writer, outPath string, seed uint64) (EngineBenchReport, e
 	return report, nil
 }
 
-// BenchGuard re-measures the engine benchmarks and fails if any named
-// benchmark regressed against the committed BENCH_engine.json artifact:
-// its ns/op as a multiple of the same run's ScanReference more than 20%
-// above the committed artifact's own multiple, or any rise in
-// allocs/op. Benchmarks present in only one of the two reports are
-// noted but not judged. A failing first pass is measured once more and
-// judged on the better of the two runs, so a single co-tenant noise
-// spike does not fail CI.
-func BenchGuard(w io.Writer, committedPath string, seed uint64) error {
-	return guardBench(w, committedPath, committedPath, func() ([]EngineBenchResult, error) {
-		report, err := EngineBench(w, "", seed)
-		return report.Results, err
-	})
-}
+// JudgePairs is the paired bench gate's verdict. parent[i] and
+// change[i] are the results of pair i: one run of each side, back to
+// back on one host, so a host that slows or speeds up moves both. An
+// entry measured in every run of both sides is judged. Its ns/op
+// regressed when the change was slower in at least nine tenths of the
+// pairs (ties count for neither) and the median per-pair delta exceeds
+// the interquartile range of the parent's own runs. Its allocs/op
+// regressed when every change run reads more than every parent run:
+// allocs/op is allocations over b.N rounded down, and a sync.Pool
+// refilled after a GC puts an entry like pipeline_mixed_4k at 30 in
+// some runs and 31 in others on either side, so no one run, median or
+// minimum stands for a side. A zero-alloc entry reads one figure, and
+// on it any rise fails. An entry missing from either side is printed
+// and not judged. JudgePairs writes one line per entry to w and returns
+// an error naming every regression.
+func JudgePairs(w io.Writer, parent, change [][]EngineBenchResult) error {
+	k := len(parent)
+	if k == 0 || len(change) != k {
+		return fmt.Errorf("bench-pair: %d parent runs against %d change runs", len(parent), len(change))
+	}
+	byName := func(runs [][]EngineBenchResult) map[string][]EngineBenchResult {
+		out := map[string][]EngineBenchResult{}
+		for _, run := range runs {
+			for _, r := range run {
+				out[r.Name] = append(out[r.Name], r)
+			}
+		}
+		return out
+	}
+	p, c := byName(parent), byName(change)
+	var names []string
+	for _, run := range [][]EngineBenchResult{parent[0], change[0]} {
+		for _, r := range run {
+			if !slices.Contains(names, r.Name) {
+				names = append(names, r.Name)
+			}
+		}
+	}
+	// quantile's input is never empty: k > 0.
+	quantile := func(xs []float64, q float64) float64 {
+		v, _ := stats.Quantile(xs, q)
+		return v
+	}
+	need := int(math.Ceil(0.9 * float64(k)))
 
-// guardBench is the regression judge shared by the engine and content
-// guards. measure re-runs one benchmark family and must include a
-// ScanReference result; referencePath is the artifact holding the
-// committed one. Each result's ns/op is divided by its own run's
-// reference and compared with the committed ratio: more than 20%
-// above it — or any rise in allocs/op — is a violation. A failing
-// first pass is measured once more and judged on the better of the two
-// runs per benchmark.
-func guardBench(w io.Writer, committedPath, referencePath string, measure func() ([]EngineBenchResult, error)) error {
-	base, err := readBenchResults(committedPath)
-	if err != nil {
-		return err
-	}
-	refBase, err := readBenchResults(referencePath)
-	if err != nil {
-		return err
-	}
-	committedRef := refBase[referenceName].NsPerOp
-	if committedRef <= 0 {
-		return fmt.Errorf("bench-guard: %s has no %s result", referencePath, referenceName)
-	}
-
-	// ratios turns one run into ns/op per reference ns/op by name.
-	ratios := func(results []EngineBenchResult) (map[string]EngineBenchResult, error) {
-		out := make(map[string]EngineBenchResult, len(results))
-		for _, r := range results {
-			out[r.Name] = r
+	var regressions []string
+	for _, name := range names {
+		pr, cr := p[name], c[name]
+		if len(pr) != k || len(cr) != k {
+			fmt.Fprintf(w, "  %-28s in %d parent and %d change runs of %d; not judged\n", name, len(pr), len(cr), k)
+			continue
 		}
-		ref := out[referenceName].NsPerOp
-		if ref <= 0 {
-			return nil, fmt.Errorf("bench-guard: run measured no %s", referenceName)
-		}
-		for name, r := range out {
-			r.NsPerOp /= ref
-			out[name] = r
-		}
-		return out, nil
-	}
-	judge := func(results []EngineBenchResult, run map[string]EngineBenchResult) []string {
-		var violations []string
-		for _, res := range results {
-			r := run[res.Name]
-			c, ok := base[r.Name]
-			if !ok {
-				if r.Name != referenceName {
-					fmt.Fprintf(w, "  %-28s no committed baseline; skipped\n", r.Name)
-				}
-				continue
+		pns, deltas := make([]float64, k), make([]float64, k)
+		pa, ca := pr[0].AllocsPerOp, cr[0].AllocsPerOp // parent max, change min
+		slower := 0
+		for i := range k {
+			pns[i] = pr[i].NsPerOp
+			deltas[i] = cr[i].NsPerOp - pr[i].NsPerOp
+			if deltas[i] > 0 {
+				slower++
 			}
-			if want := c.NsPerOp / committedRef; r.NsPerOp > want*1.20 {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %.4f× %s exceeds committed %.4f× by more than 20%%",
-					r.Name, r.NsPerOp, referenceName, want))
-			}
-			if r.AllocsPerOp > c.AllocsPerOp {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %d allocs/op, committed %d",
-					r.Name, r.AllocsPerOp, c.AllocsPerOp))
-			}
+			pa, ca = max(pa, pr[i].AllocsPerOp), min(ca, cr[i].AllocsPerOp)
 		}
-		return violations
-	}
-
-	results, err := measure()
-	if err != nil {
-		return err
-	}
-	run, err := ratios(results)
-	if err != nil {
-		return err
-	}
-	violations := judge(results, run)
-	if len(violations) > 0 {
-		fmt.Fprintf(w, "  bench-guard: %d violation(s) on first pass; re-measuring\n", len(violations))
-		retry, err := measure()
-		if err != nil {
-			return err
+		pmed, delta := quantile(pns, 0.5), quantile(deltas, 0.5)
+		iqr := quantile(pns, 0.75) - quantile(pns, 0.25)
+		verdict := "ok"
+		if slower >= need && delta > iqr {
+			verdict = "REGRESSION"
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: slower in %d of %d pairs, median delta %+.0f ns/op (%+.1f%%) exceeds the parent's IQR %.0f ns/op",
+				name, slower, k, delta, 100*delta/pmed, iqr))
 		}
-		again, err := ratios(retry)
-		if err != nil {
-			return err
+		if ca > pa {
+			verdict = "REGRESSION"
+			regressions = append(regressions, fmt.Sprintf("%s: at least %d allocs/op in every run, parent at most %d", name, ca, pa))
 		}
-		// Judge the better of the two runs per benchmark.
-		for name, r := range run {
-			if r2, ok := again[name]; ok {
-				r.NsPerOp = min(r.NsPerOp, r2.NsPerOp)
-				r.AllocsPerOp = min(r.AllocsPerOp, r2.AllocsPerOp)
-				run[name] = r
-			}
-		}
-		violations = judge(results, run)
+		fmt.Fprintf(w, "  %-28s %12.0f ns/op %+7.1f%% (IQR %5.1f%%) slower %2d/%d  allocs/op parent<=%d change>=%d  %s\n",
+			name, pmed, 100*delta/pmed, 100*iqr/pmed, slower, k, pa, ca, verdict)
 	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(w, "  REGRESSION %s\n", v)
-		}
-		return fmt.Errorf("bench-guard: %d regression(s) vs %s", len(violations), committedPath)
+	if len(regressions) > 0 {
+		return fmt.Errorf("bench-pair: %d regression(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
 	}
-	fmt.Fprintf(w, "  bench-guard: all benchmarks within 20%% of %s relative to %s, no alloc growth\n", committedPath, referenceName)
 	return nil
-}
-
-// readBenchResults reads a committed bench artifact's results by name.
-// Every artifact carries its results under the same key; the
-// family-specific fields are not judged.
-func readBenchResults(path string) (map[string]EngineBenchResult, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench-guard: read committed artifact: %w", err)
-	}
-	var committed struct {
-		Results []EngineBenchResult `json:"results"`
-	}
-	if err := json.Unmarshal(blob, &committed); err != nil {
-		return nil, fmt.Errorf("bench-guard: parse %s: %w", path, err)
-	}
-	out := make(map[string]EngineBenchResult, len(committed.Results))
-	for _, r := range committed.Results {
-		out[r.Name] = r
-	}
-	return out, nil
 }
